@@ -34,9 +34,10 @@ streaming Theorem-1.1 auditor riding the same run.
 
 A sixth section measures the out-of-core columnar path
 (``repro.sim.colstore``): streamed-from-disk vs in-RAM simulation
-throughput (>=0.5x bar), ring- vs pipe-transport serving from a
-reader (counters asserted identical), and the flat-memory claim as a
-hard peak-RSS bound on a subprocess streaming a 5M-request store.
+throughput (>=0.5x bar), workers=2 serving from a reader (counters
+asserted identical to a workers=1 streamed run), and the flat-memory
+claim as a hard peak-RSS bound on a subprocess streaming a 5M-request
+store.
 
 A seventh section measures the cache-network layer (``repro.net``):
 serial hierarchy throughput per admission strategy on a 3-level path,
@@ -687,11 +688,12 @@ def parallel_serving_rows(trace, k: int, reps: int):
 
 def outofcore_rows(trace, k: int, reps: int):
     """Columnar-store section: streamed vs in-RAM simulate throughput,
-    ring- vs pipe-transport serving from a reader, and the flat-memory
-    claim as a subprocess peak-RSS bound.
+    workers=2 serving from a reader, and the flat-memory claim as a
+    subprocess peak-RSS bound.
 
-    Throughput rows interleave in-RAM and streamed reps (and ring and
-    pipe reps) round by round, like every other section.  The RSS rows
+    Simulate rows interleave in-RAM and streamed reps round by round,
+    like every other section; the serving row's counters are checked
+    against a workers=1 streamed run of the same store.  The RSS rows
     stream a trace 100x the timing shape (:data:`OUTOFCORE_RSS_REQUESTS`
     requests) in a child process that reports its own
     ``getrusage(RUSAGE_SELF).ru_maxrss``; the streamed bound is
@@ -747,44 +749,42 @@ def outofcore_rows(trace, k: int, reps: int):
             )
         rows["simulate"] = sim_rows
 
-        # -- serving: ring vs pipe transport from a reader ---------
+        # -- serving from a reader: workers=2, checked vs workers=1 -
         serve_rows = []
         costs = [MonomialCost(2)] * trace.num_users
+
+        def serve_streamed(policy_name, workers):
+            report = serve_trace(
+                open_trace(store), policy_name, k, costs,
+                num_shards=4, batch=256, policy_seed=0,
+                validate=False, workers=workers,
+            )
+            fingerprint = (
+                report.hits,
+                report.misses,
+                tuple(report.user_misses.tolist()),
+            )
+            return report.requests_per_sec, fingerprint
+
         for policy_name in SERVE_POLICIES:
-            best = {"ring": 0.0, "pipe": 0.0}
-            fingerprints = {}
+            best = 0.0
             for _ in range(reps):
-                for transport in ("ring", "pipe"):
-                    report = serve_trace(
-                        open_trace(store), policy_name, k, costs,
-                        num_shards=4, batch=256, policy_seed=0,
-                        validate=False, workers=2, transport=transport,
-                    )
-                    best[transport] = max(
-                        best[transport], report.requests_per_sec
-                    )
-                    fingerprints[transport] = (
-                        report.hits,
-                        report.misses,
-                        tuple(report.user_misses.tolist()),
-                    )
-            assert fingerprints["ring"] == fingerprints["pipe"], policy_name
-            delta = 100.0 * (best["ring"] / best["pipe"] - 1.0)
+                rps, fingerprint = serve_streamed(policy_name, 2)
+                best = max(best, rps)
+            _rps, single = serve_streamed(policy_name, 1)
+            assert fingerprint == single, policy_name
             serve_rows.append(
                 {
                     "policy": policy_name,
                     "num_shards": 4,
                     "workers": 2,
-                    "ring_rps": round(best["ring"]),
-                    "pipe_rps": round(best["pipe"]),
-                    "ring_vs_pipe_pct": round(delta, 1),
+                    "streamed_rps": round(best),
                 }
             )
             print(
                 f"outofcore serve {policy_name:14s} "
-                f"ring={best['ring'] / 1e3:6.0f}k "
-                f"pipe={best['pipe'] / 1e3:6.0f}k "
-                f"ring-vs-pipe={delta:+.1f}%"
+                f"workers=2 streamed={best / 1e3:6.0f}k "
+                f"(counters == workers=1)"
             )
         rows["serving"] = serve_rows
 
@@ -843,7 +843,7 @@ def outofcore_rows(trace, k: int, reps: int):
         )
         rows["peak_rss"] = rss_rows
 
-    # Ring serving from disk vs PR5's in-RAM workers=2 snapshot —
+    # Streamed workers=2 serving vs PR5's in-RAM workers=2 snapshot —
     # informational, like every cross-run reference here.
     prev = Path("BENCH_PR5.json")
     if prev.exists():
@@ -860,10 +860,10 @@ def outofcore_rows(trace, k: int, reps: int):
                     {
                         "policy": r["policy"],
                         "pr5_pickle_rps": prev_w2[r["policy"]],
-                        "ring_rps": r["ring_rps"],
+                        "streamed_rps": r["streamed_rps"],
                         "delta_pct": round(
                             100.0
-                            * (r["ring_rps"] / prev_w2[r["policy"]] - 1.0),
+                            * (r["streamed_rps"] / prev_w2[r["policy"]] - 1.0),
                             2,
                         ),
                     }
@@ -873,15 +873,15 @@ def outofcore_rows(trace, k: int, reps: int):
             print(
                 f"outofcore vs-PR5 {r['policy']:14s} "
                 f"pr5-pickle={r['pr5_pickle_rps'] / 1e3:6.0f}k "
-                f"ring={r['ring_rps'] / 1e3:6.0f}k "
+                f"streamed={r['streamed_rps'] / 1e3:6.0f}k "
                 f"delta={r['delta_pct']:+.1f}%"
             )
 
     return {
         "benchmark": (
             "out-of-core columnar traces: streamed vs in-RAM simulate, "
-            "ring vs pipe worker transport from a reader, subprocess "
-            "peak RSS on a 100x trace"
+            "workers=2 serving from a reader, subprocess peak RSS on a "
+            "100x trace"
         ),
         "bars": {
             "streamed_over_in_ram": OUTOFCORE_STREAM_BAR,

@@ -1,7 +1,7 @@
 """Distributed tracing: span context propagation and trace merging.
 
 The serve and network layers are multi-process (``ShardWorkerPool``
-routes batches to shard workers over a SharedMemory ring or a pipe;
+routes batches to shard workers as framed pipe exchanges;
 ``repro.net.parallel`` chains one process per cache level).  The
 in-process tracer (:mod:`repro.obs.tracing`) links spans through a
 contextvar, which stops at the process boundary: a request crossing the
@@ -11,7 +11,7 @@ This module closes the gap with three small pieces:
 
 * **Span context** — a compact ``(trace_id, parent span_id, sampled)``
   triple that rides the existing transports verbatim: two extra little-
-  endian int64 fields in the ring data-record / pipe-frame headers
+  endian int64 fields in the worker data-frame header
   (``serve/workers.py``), and one extra tuple element on the pickled
   inter-node link messages (``net/parallel.py``).  ``trace_id == 0``
   means *not sampled* — the zero context costs the 16 header bytes and
@@ -29,7 +29,7 @@ This module closes the gap with three small pieces:
   parent ids.  ``python -m repro.obs trace <jsonl...>`` is the CLI
   wrapper (merge, report orphans, render trees).
 
-The wire format (documented for DESIGN.md and the ring/pipe framing):
+The wire format (documented for DESIGN.md and the worker frame layout):
 
 ========  =======================================================
 field     meaning
@@ -66,8 +66,8 @@ class SpanContext(tuple):
     """``(trace_id, span_id)`` — the propagated parent context.
 
     Subclassing :class:`tuple` keeps it picklable, hashable, and free
-    to destructure at the transport layer (the ring framing packs the
-    two ints straight into the record header).
+    to destructure at the transport layer (the worker framing packs
+    the two ints straight into the data-frame header).
     """
 
     __slots__ = ()

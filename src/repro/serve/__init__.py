@@ -31,10 +31,9 @@ from repro.serve.server import (
 from repro.serve.shard import CacheShard, ShardManager, page_hash
 
 # Imported last: workers.py imports ServerClosed from server.py.
-from repro.serve.workers import TRANSPORTS, ShardWorkerPool, WorkerCrashed
+from repro.serve.workers import ShardWorkerPool, WorkerCrashed
 
 __all__ = [
-    "TRANSPORTS",
     "BatchOutcome",
     "CacheServer",
     "CacheShard",

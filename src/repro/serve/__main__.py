@@ -87,8 +87,6 @@ async def _serve(args: argparse.Namespace) -> int:
         obs=obs,
         monitor_every=args.monitor_every,
         workers=args.workers,
-        transport=args.transport,
-        shm_threshold=args.shm_threshold,
         profile=args.profile,
         trace_sample=args.trace_sample,
         http_port=args.http,
@@ -168,16 +166,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers", type=int, default=1,
         help="worker processes serving the shard set (clamped to "
         "--shards; 1 = in-process)",
-    )
-    serve_p.add_argument(
-        "--transport", choices=("ring", "pipe"), default="ring",
-        help="worker-exchange transport: persistent shared-memory ring "
-        "(default) or framed pipe payloads",
-    )
-    serve_p.add_argument(
-        "--shm-threshold", type=int, default=4096, metavar="N",
-        help="pipe transport only: per-worker batch size at which an "
-        "exchange escalates to the shared-memory ring",
     )
     serve_p.add_argument("--tenants", type=int, default=4)
     serve_p.add_argument("--pages-per-tenant", type=int, default=500)

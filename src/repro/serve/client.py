@@ -327,8 +327,6 @@ def serve_trace(
     obs: Optional["Observability"] = None,
     monitor_every: int = 1024,
     workers: int = 1,
-    transport: str = "ring",
-    shm_threshold: Optional[int] = 4096,
     profile: object = None,
     trace_sample: int = 1,
     http_port: Optional[int] = None,
@@ -344,8 +342,8 @@ def serve_trace(
     policies still need a materialized :class:`Trace`).  Pass ``obs``
     to run the replay under a specific telemetry bundle (the
     observability-overhead benchmarks do); ``workers > 1`` serves the
-    shard set process-parallel over the given *transport* (results are
-    bit-identical for any worker count and either transport);
+    shard set process-parallel (results are bit-identical for any
+    worker count);
     ``profile`` installs the sampling profiler in the parent and every
     worker, and ``trace_sample`` head-samples distributed traces to
     every *N*-th submission (see :class:`CacheServer`).  Startup
@@ -375,8 +373,6 @@ def serve_trace(
             obs=obs,
             monitor_every=monitor_every,
             workers=workers,
-            transport=transport,
-            shm_threshold=shm_threshold,
             profile=profile,
             trace_sample=trace_sample,
             http_port=http_port,

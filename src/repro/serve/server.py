@@ -183,26 +183,17 @@ class CacheServer:
         Passed through to :class:`ShardManager`.
     workers:
         OS processes serving the shard set (clamped to ``num_shards``).
-        The default ``1`` keeps the in-process path bit-for-bit; with
-        ``W > 1`` a :class:`~repro.serve.workers.ShardWorkerPool` is
-        started alongside the consumer — shard *s* lives in worker
-        ``s % W``, the consumer routes each submission with the same
-        splitmix64 hash and merges replies back into submission order,
-        so outcomes, backpressure, and drain semantics are unchanged
-        and results are bit-identical for any ``W`` (the global clock
-        is assigned before routing).  Scrape paths merge the workers'
-        ledgers/registries, keeping ``stats``/``metrics`` exact.
-    transport:
-        Worker-exchange transport (parallel mode only).  ``"ring"``
-        (default) moves every batch through a persistent per-worker
-        shared-memory ring — the pipe carries only 1-byte doorbells;
-        ``"pipe"`` frames batches into a reusable staging buffer sent
-        over the pipe, escalating to the ring at ``shm_threshold``.
-        Results are bit-identical either way.
-    shm_threshold:
-        Pipe-transport only: per-worker batch size at or above which an
-        exchange uses the shared-memory ring anyway; ``None`` keeps
-        everything on the pipe.  Ignored under ``transport="ring"``.
+        The default ``1`` serves in-process; with ``W > 1`` a
+        :class:`~repro.serve.workers.ShardWorkerPool` is started
+        alongside the consumer — shard *s* lives in worker ``s % W``,
+        the consumer routes each submission with the same splitmix64
+        hash in one framed pipe exchange per worker and merges the
+        replies back into submission order.  Either way one consumer
+        path builds the outcomes, so backpressure and drain semantics
+        are the same and results are bit-identical for any ``W`` (the
+        global clock is assigned before routing).  Scrape paths merge
+        the workers' ledgers/registries, keeping ``stats``/``metrics``
+        exact.
     obs:
         Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults
         to a fresh, env-gated bundle per server so collector metric
@@ -249,8 +240,6 @@ class CacheServer:
         obs: Optional[Observability] = None,
         monitor_every: int = 1024,
         workers: int = 1,
-        transport: str = "ring",
-        shm_threshold: Optional[int] = 4096,
         profile: object = None,
         trace_sample: int = 1,
         http_port: Optional[int] = None,
@@ -273,12 +262,6 @@ class CacheServer:
         self.workers = min(
             check_positive_int(workers, "workers"), self.shards.num_shards
         )
-        if transport not in ("ring", "pipe"):
-            raise ValueError(
-                f"transport must be 'ring' or 'pipe', got {transport!r}"
-            )
-        self._transport = transport
-        self._shm_threshold = shm_threshold
         # The pool rebuilds the shard set from the same spec, so keep it.
         self._policy_spec = policy
         self._policy_seed = policy_seed
@@ -289,6 +272,8 @@ class CacheServer:
         self._costs = costs
         self._pool = None
         self._pool_final: Optional[Dict[str, object]] = None
+        #: Serves one submission; :meth:`start` picks it.
+        self._backend = self._apply_local
         self.ledger = CostLedger(self.shards.num_users, costs, window=window)
         self.owners = self.shards.owners
         self._owners_list: List[int] = self.owners.tolist()
@@ -439,8 +424,6 @@ class CacheServer:
                 monitor=self.obs.monitor is not None
                 and self._monitor_every > 0,
                 monitor_every=self._monitor_every,
-                transport=self._transport,
-                shm_threshold=self._shm_threshold,
                 name=self.name,
                 # Workers spill spans next to the parent's JSONL trace
                 # (sink path required: in-memory sinks cannot cross the
@@ -452,6 +435,9 @@ class CacheServer:
                 ),
                 profile=self._profile,
             )
+        self._backend = (
+            self._apply_local if self._pool is None else self._apply_pool
+        )
         if self._profile is not None and self.profiler is None:
             from repro.obs.prof import DEFAULT_INTERVAL, SamplingProfiler
 
@@ -724,142 +710,58 @@ class CacheServer:
                 queue.task_done()
 
     def _process(self, item: _Item) -> None:
-        if self._pool is not None:
-            self._process_pool(item)
-            return
-        pages, fut, detail, credits, t_enq = item
-        obs_on = self._obs_active
-        if obs_on:
-            t_start = perf_counter()
-        serve = self.shards.serve
-        record = self.ledger.record
-        owners = self._owners_list
-        auditor = self._auditor
-        audit = auditor.observe if auditor is not None else None
-        t = self._t
-        result: object
-        if detail:
-            outcomes = []
-            for page in pages:
-                hit, victim, sid = serve(page, t)
-                tenant = owners[page]
-                record(tenant, hit)
-                if audit is not None:
-                    audit(page, tenant, hit)
-                outcomes.append(
-                    RequestOutcome(
-                        page=page, tenant=tenant, hit=hit, t=t, shard=sid,
-                        victim=victim,
-                    )
-                )
-                t += 1
-            result = outcomes
-        elif audit is None:
-            hit_flags = []
-            append = hit_flags.append
-            hits = 0
-            for page in pages:
-                hit, _victim, _sid = serve(page, t)
-                record(owners[page], hit)
-                append(hit)
-                hits += hit
-                t += 1
-            result = BatchOutcome(
-                t0=self._t,
-                hits=hits,
-                misses=len(hit_flags) - hits,
-                hit_flags=hit_flags,
-            )
-        else:
-            # Batch loop duplicated so the no-auditor fast path above
-            # carries zero extra per-request work.
-            hit_flags = []
-            append = hit_flags.append
-            hits = 0
-            for page in pages:
-                hit, _victim, _sid = serve(page, t)
-                tenant = owners[page]
-                record(tenant, hit)
-                audit(page, tenant, hit)
-                append(hit)
-                hits += hit
-                t += 1
-            result = BatchOutcome(
-                t0=self._t,
-                hits=hits,
-                misses=len(hit_flags) - hits,
-                hit_flags=hit_flags,
-            )
-        self._t = t
-        if obs_on:
-            self._account(pages, t_enq, t_start)
-        if credits is not None and self._gates is not None:
-            for tenant, n in credits:
-                self._gates[tenant].release(n)
-        if not fut.cancelled():
-            fut.set_result(result)
+        """Apply one submission, at any worker count.
 
-    def _process_pool(self, item: _Item) -> None:
-        """Parallel-mode submission processing: route the batch across
-        the worker pool with the global clock assigned up front, merge
-        the flat flag replies back into submission order, and build the
-        same outcome objects the in-process path returns.  Per-tenant
-        hit/miss/window accounting happens worker-side; only the
-        auditor (which needs the globally-ordered stream) observes
-        here."""
+        The back-end picked by :meth:`start` serves the batch with the
+        global clock assigned up front; everything after it — auditor,
+        outcome building, trace spans, telemetry, credit release, and
+        future completion — runs once per submission, the same way for
+        both back-ends.  The auditor consumes ``(page, tenant, hit)``
+        in submission order, so observing after the batch is exact."""
         pages, fut, detail, credits, t_enq = item
         obs_on = self._obs_active
         if obs_on:
             t_start = perf_counter()
-        pool = self._pool
-        assert pool is not None
-        owners = self._owners_list
-        auditor = self._auditor
         t0 = self._t
-        pages_arr = np.asarray(pages, dtype=np.int64)
-        # Distributed span context: a deterministic per-submission trace
-        # id (the global clock is unique and nonzero after +1) and a
-        # router-side root span id that the workers parent under.
-        trace_id = 0
-        root_span = 0
-        traced = False
-        if self._tracing_on:
-            traced = True
-            if self._trace_sample > 1:
-                self._trace_seq += 1
-                traced = not (self._trace_seq % self._trace_sample)
-            if traced:
-                trace_id = t0 + 1
-                root_span = next(self.obs.tracer._ids)
-                t_route = perf_counter()
+        # Head sampling, decided once per submission.
+        traced = self._tracing_on
+        if traced and self._trace_sample > 1:
+            self._trace_seq += 1
+            traced = not self._trace_seq % self._trace_sample
+        # Distributed span context (worker pool only): a deterministic
+        # per-submission trace id (the global clock is unique and
+        # nonzero after +1) and a router-side root span id that the
+        # workers parent under.
+        trace_id = root_span = 0
+        if traced and self._pool is not None:
+            trace_id = t0 + 1
+            root_span = next(self.obs.tracer._ids)
+            t_route = perf_counter()
+        served = self._backend(pages, t0, detail, trace_id, root_span)
+        self._t = t0 + len(pages)
+        owners = self._owners_list
         result: object
         if detail:
-            served = pool.apply_detail(pages_arr, t0)
-            outcomes = []
-            for i, page in enumerate(pages):
-                hit, victim, sid = served[i]
-                tenant = owners[page]
-                if auditor is not None:
-                    auditor.observe(page, tenant, hit)
-                outcomes.append(
-                    RequestOutcome(
-                        page=page, tenant=tenant, hit=hit, t=t0 + i,
-                        shard=sid, victim=victim,
-                    )
+            flags = [hit for hit, _victim, _sid in served]
+            result = [
+                RequestOutcome(
+                    page=page, tenant=owners[page], hit=hit, t=t,
+                    shard=sid, victim=victim,
                 )
-            result = outcomes
+                for t, (page, (hit, victim, sid)) in enumerate(
+                    zip(pages, served), t0
+                )
+            ]
         else:
-            flags = pool.apply(pages_arr, t0, trace_id, root_span)
-            if auditor is not None:
-                for i, page in enumerate(pages):
-                    auditor.observe(page, owners[page], bool(flags[i]))
-            hits = int(flags.sum())
+            flags = served
+            hits = sum(flags)
             result = BatchOutcome(
-                t0=t0,
-                hits=hits,
-                misses=int(flags.size) - hits,
-                hit_flags=flags.astype(bool).tolist(),
+                t0=t0, hits=hits, misses=len(flags) - hits, hit_flags=flags
             )
+        auditor = self._auditor
+        if auditor is not None:
+            for page, hit in zip(pages, flags):
+                auditor.observe(page, owners[page], hit)
         if trace_id:
             # Root of the merged request tree: router-side route+merge.
             emit_span(
@@ -871,48 +773,75 @@ class CacheServer:
                 parent_id=None,
                 n=len(pages),
                 t0=t0,
-                workers=pool.num_workers,
+                workers=self.workers,
             )
             if len(self._route_ctx) > 1024:  # best-effort bound
                 self._route_ctx.clear()
             self._route_ctx[t0] = (trace_id, root_span)
-        self._t = t0 + len(pages)
         if obs_on:
-            self._account(pages, t_enq, t_start, traced)
+            self._account(len(pages), t_enq, t_start, traced)
         if credits is not None and self._gates is not None:
             for tenant, n in credits:
                 self._gates[tenant].release(n)
         if not fut.cancelled():
             fut.set_result(result)
 
-    def _account(
+    def _apply_local(
         self,
         pages: Sequence[int],
-        t_enq: float,
-        t_start: float,
-        traced: Optional[bool] = None,
-    ) -> None:
-        """Post-apply telemetry for one submission (obs-active only).
+        t0: int,
+        detail: bool,
+        trace_id: int,
+        parent: int,
+    ) -> list:
+        """In-process back-end: one ``ShardManager.serve`` and one
+        ``CostLedger.record`` per request, in submission order.  Returns
+        the hit flags, or ``(hit, victim, shard)`` per request for a
+        *detail* submission.  No trace context: there is no worker to
+        carry it to."""
+        serve = self.shards.serve
+        record = self.ledger.record
+        owners = self._owners_list
+        out: list = []
+        append = out.append
+        for t, page in enumerate(pages, t0):
+            served = serve(page, t)
+            record(owners[page], served[0])
+            append(served if detail else served[0])
+        return out
 
-        ``traced`` carries the pool path's per-submission sampling
-        decision; ``None`` (the in-process path) decides it here with
-        the same counter."""
+    def _apply_pool(
+        self,
+        pages: Sequence[int],
+        t0: int,
+        detail: bool,
+        trace_id: int,
+        parent: int,
+    ) -> list:
+        """Worker-pool back-end: route the submission across the shard
+        workers, which keep the per-tenant accounting; same return
+        shapes as :meth:`_apply_local`."""
+        pool = self._pool
+        assert pool is not None
+        pages_arr = np.asarray(pages, dtype=np.int64)
+        if detail:
+            return pool.apply_detail(pages_arr, t0)
+        return pool.apply(pages_arr, t0, trace_id, parent).astype(bool).tolist()
+
+    def _account(
+        self, n: int, t_enq: float, t_start: float, traced: bool
+    ) -> None:
+        """Post-apply telemetry for one submission of *n* requests
+        (obs-active only); *traced* is its head-sampling decision."""
         dur = perf_counter() - t_start
         queue_wait = (t_start - t_enq) if t_enq else 0.0
-        n = len(pages)
         if self._metrics_on:
             self._h_apply.observe(dur)
             self._h_queue.observe(queue_wait)
-        if self._tracing_on:
-            if traced is None:
-                traced = True
-                if self._trace_sample > 1:
-                    self._trace_seq += 1
-                    traced = not (self._trace_seq % self._trace_sample)
-            if traced:
-                tracer = self.obs.tracer
-                tracer.record_span("serve.queue_wait", queue_wait, n=n)
-                tracer.record_span("serve.apply", dur, n=n, t=self._t)
+        if traced:
+            tracer = self.obs.tracer
+            tracer.record_span("serve.queue_wait", queue_wait, n=n)
+            tracer.record_span("serve.apply", dur, n=n, t=self._t)
         # In parallel mode the workers sample their own monitors against
         # their own policy instances (budget invariants are per-instance,
         # so worker-local sampling is sound); drift is checked at
@@ -1418,8 +1347,15 @@ class CacheServer:
                 pass
 
     async def _dispatch_line(self, line: bytes) -> Dict[str, object]:
+        """Answer one TCP line.  Malformed input — bad JSON, a JSON
+        value that is not an object, bad fields — gets an error reply
+        and leaves the server and the connection as they were."""
         try:
             msg = json.loads(line)
+            if not isinstance(msg, dict):
+                raise TypeError(
+                    f"expected a JSON object, got {type(msg).__name__}"
+                )
             op = msg.get("op")
             if op == "request":
                 out = await self.request(int(msg["page"]))
@@ -1470,7 +1406,9 @@ class CacheServer:
             return {"ok": False, "error": f"unknown op {op!r}"}
         except ServerClosed as exc:
             return {"ok": False, "error": str(exc)}
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (
+            KeyError, TypeError, ValueError, IndexError, OverflowError
+        ) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,4 +1,4 @@
-"""Process-parallel shard workers with batched zero-copy routing.
+"""Process-parallel shard workers with batched routing over framed pipes.
 
 The single-consumer server (:mod:`repro.serve.server`) applies every
 request sequentially, so the S-way page→shard split of
@@ -20,34 +20,28 @@ of ``W`` (test-enforced by ``tests/test_serve_equivalence.py``).
 Routing is batched and buffer-flat.  A precomputed page→worker table
 (the vectorized splitmix64 hash of the whole page universe) splits a
 submission into per-worker position/page arrays, and each worker
-receives **one exchange per batch** — never one pickle per request,
-and on the hot path never a pickle at all:
+receives **one frame per batch** on its duplex pipe — never one pickle
+per request, and on the data path never a pickle at all.  Every message
+is one ``send_bytes`` frame whose first byte is its tag:
 
-* ``transport="ring"`` (the default) — each worker owns one
-  **persistent shared-memory ring** created lazily at first use and
-  grown in place on demand.  Batches are framed directly into the
-  ring's data region (``[nbytes][t0][n][pages int64*n][pos int32*n]``,
-  8-aligned), the pipe carries only a **9-byte doorbell** naming the
-  record's ring offset, and the worker frames its hit flags into the
-  reply region the same way.  No allocation and no serialization per
-  batch on either side.
-* ``transport="pipe"`` — batches are framed into a **preallocated
-  per-worker staging buffer** (same record layout) and sent as one
-  ``send_bytes`` payload; batches at or above ``shm_threshold``
-  requests still go through the ring.  This is the fallback for
-  platforms where POSIX shared memory is unavailable, and the
-  reference point for the ring-vs-pipe invariance tests.
-
-Pipes remain the **control plane** in both modes: construction
-handshake, detail/snapshot/flight gathers, ring (re)announcements,
-and shutdown ride pickled control frames; data exchanges never do.
+* ``b"p"`` — a data frame: tag + 7 pad bytes (8-aligning the payload),
+  then ``t0``, ``n``, ``trace_id`` and ``parent_span`` as int64 words,
+  then ``pages int64*n`` and ``pos int32*n`` (request *i* carries
+  global time ``t0 + pos[i]``).  The parent frames it into a
+  preallocated per-worker staging buffer, so a batch costs no
+  allocation and no serialization once the buffer has grown to the
+  working batch size.  The worker answers ``b"F"`` + one hit-flag byte
+  per request, or ``b"E"`` + an error message.
+* ``b"!"`` — a control frame: a pickled message for the construction
+  handshake, detail/snapshot/flight/profile gathers, and shutdown.
 
 Exchanges are strictly synchronous request/reply per worker, and both
 the serve consumer's ``_process`` and the scrape paths run without
 awaiting — under asyncio's single thread that means data and control
 messages can never interleave on a pipe, so the protocol needs no
-locks, and a ring never holds more than one record in flight (the
-cursors still advance ring-style so the layout is general).
+locks.  A worker reads a whole frame before it writes its reply, so
+frames larger than the socket buffer cannot deadlock the parent's
+send-to-all-then-receive-from-all exchange.
 
 Scrape-time merging mirrors the in-process design ("exactness via
 scrape-time collectors", DESIGN.md): workers report ground truth —
@@ -97,47 +91,12 @@ class WorkerCrashed(ServerClosed):
 #: Seconds between liveness checks while waiting on a worker reply.
 _POLL_INTERVAL = 0.1
 
-#: Worker transports accepted by :class:`ShardWorkerPool`.
-TRANSPORTS = ("ring", "pipe")
-
-# --- Ring block layout -------------------------------------------------
-# [0]  magic                 [8]  data_cap   [16] reply_cap
-# [24] next data offset (parent, debug)
-# [40] next reply offset (worker, debug)
-# [64, 64+data_cap)              data records (parent -> worker)
-# [64+data_cap, +reply_cap)      reply records (worker -> parent)
-# Records are 8-aligned ([nbytes:int64][payload...]) and never wrap: a
-# record that does not fit at the current offset restarts at the region
-# base.  The record's offset rides the 1-byte doorbell / reply frame on
-# the pipe, so reader position never depends on ring state — exchanges
-# are strictly synchronous (one outstanding record per direction), and
-# the header offsets exist for post-mortem inspection only.
-_RING_MAGIC = 0x52504C52494E4731  # "RPLRING1"
-_RING_HEADER = 64
-# Data record header carries the distributed-tracing span context as
-# two extra int64 words (repro.obs.distrib): trace_id (0 = unsampled)
-# and the parent span id.  The layout is identical whether tracing is
-# on or off, so the hot path never branches on wire format.
-_DATA_REC_HEADER = 40  # nbytes + t0 + n + trace_id + parent_span
-_REPLY_REC_HEADER = 16  # nbytes + n
-_DEFAULT_DATA_CAP = 1 << 20
-_DEFAULT_REPLY_CAP = 1 << 17
-
-#: Pipe-transport data frame: tag byte + 7 pad (8-aligns the payload
-#: within the frame) + t0 + n + trace_id + parent_span, then pages/pos.
+#: Data frame header: tag byte + 7 pad (8-aligns the payload within the
+#: frame) + t0 + n + trace_id + parent_span, then pages/pos.  The two
+#: span-context words (repro.obs.distrib; trace_id 0 = unsampled) are
+#: packed whether tracing is on or off, so the hot path never branches
+#: on wire format.
 _PIPE_HDR = 40
-
-
-def _pad8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-def _data_record_bytes(m: int) -> int:
-    return _pad8(_DATA_REC_HEADER + 12 * m)
-
-
-def _reply_record_bytes(m: int) -> int:
-    return _pad8(_REPLY_REC_HEADER + m)
 
 
 @dataclass
@@ -419,61 +378,6 @@ class _WorkerState:
             self.tracer = None
 
 
-class _WorkerRing:
-    """Worker-side view of the shared ring (read data, write replies)."""
-
-    def __init__(self, name: str) -> None:
-        from multiprocessing import shared_memory
-
-        # Attaching re-registers the segment with the resource tracker,
-        # but workers share the parent's tracker process (its fd rides
-        # both fork and spawn), so the duplicate collapses in the
-        # tracker's name set and the parent's unlink stays the one
-        # true unregister — do NOT unregister here, that would strip
-        # the parent's entry and make its unlink a tracker error.
-        self.shm = shared_memory.SharedMemory(name=name)
-        buf = self.shm.buf
-        magic, self.data_cap, self.reply_cap = struct.unpack_from("<qqq", buf, 0)
-        if magic != _RING_MAGIC:
-            raise ValueError(f"bad ring magic {magic:#x}")
-        self.buf = buf
-        self.reply_off = 0
-
-    def read_batch(self, off: int) -> Tuple[int, List[int], List[int], int, int]:
-        """Decode the data record at region offset *off* (from the
-        doorbell frame)."""
-        buf = self.buf
-        base = _RING_HEADER + off
-        t0, m, trace_id, parent = struct.unpack_from("<qqqq", buf, base + 8)
-        pages = np.frombuffer(
-            buf, dtype=np.int64, count=m, offset=base + _DATA_REC_HEADER
-        ).tolist()
-        pos = np.frombuffer(
-            buf, dtype=np.int32, count=m,
-            offset=base + _DATA_REC_HEADER + 8 * m,
-        ).tolist()
-        return t0, pages, pos, trace_id, parent
-
-    def write_reply(self, flags: bytearray) -> int:
-        """Frame the hit flags into the reply region; returns the
-        record's offset (sent back on the reply frame)."""
-        m = len(flags)
-        nbytes = _reply_record_bytes(m)
-        off = self.reply_off
-        if off + nbytes > self.reply_cap:  # restart at the region base
-            off = 0
-        base = _RING_HEADER + self.data_cap + off
-        struct.pack_into("<qq", self.buf, base, nbytes, m)
-        self.buf[base + _REPLY_REC_HEADER : base + _REPLY_REC_HEADER + m] = flags
-        self.reply_off = off + nbytes
-        struct.pack_into("<q", self.buf, 40, self.reply_off)
-        return off
-
-    def close(self) -> None:
-        self.buf = None
-        self.shm.close()
-
-
 def _worker_main(conn, spec: WorkerSpec) -> None:
     """Worker process entry point: build the shard group, serve the
     frame protocol until told to close.  Any build/serve exception is
@@ -485,7 +389,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    ring: Optional[_WorkerRing] = None
     try:
         state = _WorkerState(spec)
         conn.send(("ready", spec.worker_id))
@@ -500,18 +403,7 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
         while True:
             frame = conn.recv_bytes()
             tag = frame[:1]
-            if tag == b"g":  # ring doorbell: batch is in the data ring
-                reply_kind = "bytes"
-                if ring is None:
-                    raise RuntimeError("ring doorbell before ring announce")
-                off = struct.unpack_from("<q", frame, 1)[0]
-                t0, pages, pos, trace_id, parent = ring.read_batch(off)
-                flags = state.apply(
-                    pages, [t0 + p for p in pos], trace_id, parent
-                )
-                roff = ring.write_reply(flags)
-                conn.send_bytes(b"r" + struct.pack("<q", roff))
-            elif tag == b"p":  # pipe-framed batch
+            if tag == b"p":  # data frame
                 reply_kind = "bytes"
                 t0, m, trace_id, parent = struct.unpack_from("<qqqq", frame, 8)
                 pages = np.frombuffer(
@@ -539,11 +431,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                     conn.send(state.flight_window())
                 elif op == "prof":  # folded-stack profile gather
                     conn.send(state.profile_folded())
-                elif op == "ring":  # (re)announce the shared ring block
-                    if ring is not None:
-                        ring.close()
-                    ring = _WorkerRing(msg[1])
-                    conn.send(("ok",))
                 elif op == "c":  # close
                     state.close()
                     conn.send(("bye", state.served))
@@ -569,13 +456,16 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
             state.close()
         except Exception:  # pragma: no cover - teardown best effort
             pass
-        if ring is not None:
-            ring.close()
         conn.close()
 
 
 class ShardWorkerPool:
     """Partition ``S`` shards across ``W`` worker processes.
+
+    Each worker is reached over its own duplex pipe, the only channel
+    between the processes: :meth:`apply` sends every touched worker one
+    data frame and merges the flag replies back into submission order
+    (frame layout in the module docstring).
 
     Parameters mirror :class:`~repro.serve.shard.ShardManager` (the
     worker side rebuilds the identical shard set); pool-specific knobs:
@@ -591,17 +481,6 @@ class ShardWorkerPool:
     monitor / monitor_every:
         Attach per-worker invariant monitors sampling each worker's own
         policies every ``monitor_every // W`` of its requests.
-    transport:
-        ``"ring"`` (default) exchanges every batch through the
-        persistent per-worker shared-memory ring; ``"pipe"`` frames
-        batches into a preallocated staging buffer sent over the pipe,
-        escalating to the ring at ``shm_threshold`` requests.  Results
-        are bit-identical either way (test-enforced).
-    shm_threshold:
-        Pipe-transport only: per-worker batch size (requests) at or
-        above which the exchange goes through the ring anyway;
-        ``None`` keeps everything on the pipe.  Ignored under
-        ``transport="ring"``.
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (policy factories need not pickle), else ``spawn``.
@@ -626,8 +505,6 @@ class ShardWorkerPool:
         flight_meta: Optional[Dict[str, object]] = None,
         monitor: bool = False,
         monitor_every: int = 0,
-        transport: str = "ring",
-        shm_threshold: Optional[int] = None,
         start_method: Optional[str] = None,
         name: str = "pool",
         trace_jsonl: Optional[str] = None,
@@ -637,21 +514,13 @@ class ShardWorkerPool:
 
         num_workers = check_positive_int(num_workers, "num_workers")
         num_shards = check_positive_int(num_shards, "num_shards")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
         self.name = name
         self.num_shards = num_shards
-        self.transport = transport
         #: Effective worker count (a shard is never split).
         self.num_workers = min(num_workers, num_shards)
         self.num_users = int(np.asarray(owners).max()) + 1
         owners = np.ascontiguousarray(np.asarray(owners, dtype=np.int64))
         num_pages = int(owners.size)
-        if shm_threshold is not None:
-            shm_threshold = check_positive_int(shm_threshold, "shm_threshold")
-        self._shm_threshold = shm_threshold
         #: page → worker routing table (uint8: W <= 255 by construction).
         if num_shards == 1:
             shard_table = np.zeros(num_pages, dtype=np.int64)
@@ -669,12 +538,7 @@ class ShardWorkerPool:
         ctx = mp.get_context(start_method)
         self._conns = []
         self._procs = []
-        #: Per-worker ring state: {block, data_cap, reply_cap, head,
-        #: reply_tail}; created lazily on first use, grown in place.
-        self._rings: List[Optional[Dict[str, object]]] = (
-            [None] * self.num_workers
-        )
-        #: Per-worker pipe-transport staging buffers (reused, grown).
+        #: Per-worker data-frame staging buffers (reused, grown).
         self._staging: List[bytearray] = [
             bytearray(0) for _ in range(self.num_workers)
         ]
@@ -737,8 +601,8 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Wire helpers
     # ------------------------------------------------------------------
-    def _recv(self, w: int):
-        """Receive one pickled reply from worker *w*, watching for death."""
+    def _recv_bytes(self, w: int) -> bytes:
+        """Receive one frame from worker *w*, watching for death."""
         conn = self._conns[w]
         try:
             while not conn.poll(_POLL_INTERVAL):
@@ -747,38 +611,30 @@ class ShardWorkerPool:
                         f"shard worker {w} of pool {self.name!r} died "
                         f"(exitcode {self._procs[w].exitcode})"
                     )
-            reply = conn.recv()
+            return conn.recv_bytes()
         except (EOFError, OSError) as exc:
             raise WorkerCrashed(
                 f"shard worker {w} of pool {self.name!r} closed its pipe: {exc}"
             ) from exc
+
+    def _recv(self, w: int):
+        """Receive one pickled control reply from worker *w*."""
+        reply = pickle.loads(self._recv_bytes(w))
         if isinstance(reply, tuple) and reply and reply[0] == "err":
             raise WorkerCrashed(
                 f"shard worker {w} of pool {self.name!r} errored: {reply[1]}"
             )
         return reply
 
-    def _recv_bytes(self, w: int) -> bytes:
-        """Receive one data-plane reply frame, watching for death."""
-        conn = self._conns[w]
-        try:
-            while not conn.poll(_POLL_INTERVAL):
-                if not self._procs[w].is_alive():
-                    raise WorkerCrashed(
-                        f"shard worker {w} of pool {self.name!r} died "
-                        f"(exitcode {self._procs[w].exitcode})"
-                    )
-            frame = conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            raise WorkerCrashed(
-                f"shard worker {w} of pool {self.name!r} closed its pipe: {exc}"
-            ) from exc
+    def _recv_flags(self, w: int) -> np.ndarray:
+        """Receive one data reply frame: ``b"F"`` + the hit flags."""
+        frame = self._recv_bytes(w)
         if frame[:1] == b"E":
             raise WorkerCrashed(
                 f"shard worker {w} of pool {self.name!r} errored: "
                 f"{frame[1:].decode(errors='replace')}"
             )
-        return frame
+        return np.frombuffer(frame, dtype=np.uint8, offset=1)
 
     def _send_bytes(self, w: int, buf, size: Optional[int] = None) -> None:
         try:
@@ -794,117 +650,18 @@ class ShardWorkerPool:
     def _send_control(self, w: int, msg: tuple) -> None:
         self._send_bytes(w, b"!" + pickle.dumps(msg))
 
-    # ------------------------------------------------------------------
-    # Ring management (parent side)
-    # ------------------------------------------------------------------
-    def _ensure_ring(self, w: int, data_need: int, reply_need: int) -> None:
-        """Make worker *w*'s ring hold records of the given sizes,
-        creating or growing the block (and announcing it over the
-        control plane) when required."""
-        ring = self._rings[w]
-        if (
-            ring is not None
-            and ring["data_cap"] >= data_need
-            and ring["reply_cap"] >= reply_need
-        ):
-            return
-        from multiprocessing import shared_memory
-
-        data_cap = _DEFAULT_DATA_CAP
-        while data_cap < data_need:
-            data_cap <<= 1
-        reply_cap = _DEFAULT_REPLY_CAP
-        while reply_cap < reply_need:
-            reply_cap <<= 1
-        if ring is not None:  # growing: keep the larger of each region
-            data_cap = max(data_cap, int(ring["data_cap"]))
-            reply_cap = max(reply_cap, int(ring["reply_cap"]))
-        block = shared_memory.SharedMemory(
-            create=True, size=_RING_HEADER + data_cap + reply_cap
-        )
-        struct.pack_into(
-            "<qqqqqqq", block.buf, 0,
-            _RING_MAGIC, data_cap, reply_cap, 0, 0, 0, 0,
-        )
-        self._send_control(w, ("ring", block.name))
-        try:
-            self._recv(w)  # ("ok",)
-        except BaseException:
-            block.close()
-            block.unlink()
-            raise
-        if ring is not None:
-            ring["block"].close()
-            try:
-                ring["block"].unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._rings[w] = {
-            "block": block,
-            "data_cap": data_cap,
-            "reply_cap": reply_cap,
-            "data_off": 0,
-        }
-
-    def _ring_send(
+    def _send_frame(
         self,
         w: int,
         t0: int,
         wpages: np.ndarray,
         pos: np.ndarray,
-        trace_id: int = 0,
-        parent: int = 0,
+        trace_id: int,
+        parent: int,
     ) -> None:
-        """Frame one batch into worker *w*'s data ring and ring the
-        doorbell carrying the record offset (the only pipe traffic for
-        a ring exchange)."""
-        m = int(wpages.size)
-        nbytes = _data_record_bytes(m)
-        self._ensure_ring(w, nbytes, _reply_record_bytes(m))
-        ring = self._rings[w]
-        buf = ring["block"].buf
-        off = int(ring["data_off"])
-        if off + nbytes > int(ring["data_cap"]):  # restart at the base
-            off = 0
-        base = _RING_HEADER + off
-        struct.pack_into("<qqqqq", buf, base, nbytes, t0, m, trace_id, parent)
-        np.frombuffer(buf, dtype=np.int64, count=m, offset=base + _DATA_REC_HEADER)[
-            :
-        ] = wpages
-        np.frombuffer(
-            buf, dtype=np.int32, count=m, offset=base + _DATA_REC_HEADER + 8 * m
-        )[:] = pos
-        ring["data_off"] = off + nbytes
-        struct.pack_into("<q", buf, 24, ring["data_off"])
-        self._send_bytes(w, b"g" + struct.pack("<q", off))
-
-    def _ring_read_reply(self, w: int, m: int, off: int) -> np.ndarray:
-        """Decode the reply record at region offset *off* (from the
-        worker's reply frame)."""
-        ring = self._rings[w]
-        buf = ring["block"].buf
-        base = _RING_HEADER + int(ring["data_cap"]) + off
-        n = struct.unpack_from("<q", buf, base + 8)[0]
-        if n != m:  # pragma: no cover - protocol bug guard
-            raise WorkerCrashed(
-                f"shard worker {w} reply length {n} != expected {m}"
-            )
-        return np.frombuffer(
-            buf, dtype=np.uint8, count=m, offset=base + _REPLY_REC_HEADER
-        )
-
-    def _pipe_send(
-        self,
-        w: int,
-        t0: int,
-        wpages: np.ndarray,
-        pos: np.ndarray,
-        trace_id: int = 0,
-        parent: int = 0,
-    ) -> None:
-        """Frame one batch into the reusable staging buffer and send it
-        as a single payload — no pickling, no per-batch allocation once
-        the buffer has grown to the working batch size."""
+        """Frame one batch into worker *w*'s reusable staging buffer and
+        send it as a single payload — no pickling, no per-batch
+        allocation once the buffer has grown to the working batch size."""
         m = int(wpages.size)
         need = _PIPE_HDR + 12 * m
         buf = self._staging[w]
@@ -941,34 +698,17 @@ class ShardWorkerPool:
         router-side span id) to every worker touched by the batch.
         """
         pages = np.ascontiguousarray(pages, dtype=np.int64)
-        n = int(pages.size)
         wids = self._page_worker[pages]
-        sends: List[Tuple[int, np.ndarray, bool]] = []
-        threshold = self._shm_threshold
-        via_ring_always = self.transport == "ring"
+        sends: List[Tuple[int, np.ndarray]] = []
         for w in range(self.num_workers):
             pos = np.nonzero(wids == w)[0]
             if not pos.size:
                 continue
-            m = int(pos.size)
-            wpages = pages[pos]
-            via_ring = via_ring_always or (
-                threshold is not None and m >= threshold
-            )
-            if via_ring:
-                self._ring_send(w, t0, wpages, pos, trace_id, parent)
-            else:
-                self._pipe_send(w, t0, wpages, pos, trace_id, parent)
-            sends.append((w, pos, via_ring))
-        flags = np.empty(n, dtype=np.uint8)
-        for w, pos, via_ring in sends:
-            frame = self._recv_bytes(w)
-            if via_ring:
-                # b"r" + offset: the flags live in the reply ring.
-                roff = struct.unpack_from("<q", frame, 1)[0]
-                flags[pos] = self._ring_read_reply(w, int(pos.size), roff)
-            else:
-                flags[pos] = np.frombuffer(frame, dtype=np.uint8, offset=1)
+            self._send_frame(w, t0, pages[pos], pos, trace_id, parent)
+            sends.append((w, pos))
+        flags = np.empty(int(pages.size), dtype=np.uint8)
+        for w, pos in sends:
+            flags[pos] = self._recv_flags(w)
         return flags
 
     def apply_detail(
@@ -1143,8 +883,7 @@ class ShardWorkerPool:
         """Shut the workers down (idempotent).
 
         Graceful close sends each live worker the close op and joins
-        it; anything unresponsive is terminated.  Ring blocks are
-        unlinked last.
+        it; anything unresponsive is terminated.
         """
         if self._closed:
             return
@@ -1171,14 +910,6 @@ class ShardWorkerPool:
                 conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-        for ring in self._rings:
-            if ring is not None:
-                ring["block"].close()
-                try:
-                    ring["block"].unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-        self._rings = [None] * len(self._rings)
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -1189,9 +920,8 @@ class ShardWorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardWorkerPool(name={self.name!r}, W={self.num_workers}, "
-            f"S={self.num_shards}, transport={self.transport!r}, "
-            f"alive={self.alive})"
+            f"S={self.num_shards}, alive={self.alive})"
         )
 
 
-__all__ = ["ShardWorkerPool", "TRANSPORTS", "WorkerCrashed", "WorkerSpec"]
+__all__ = ["ShardWorkerPool", "WorkerCrashed", "WorkerSpec"]

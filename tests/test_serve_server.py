@@ -294,14 +294,32 @@ class TestTcpFrontEnd:
             batch_detail = await ask(
                 {"op": "batch", "pages": [0, 1, 0], "detail": True}
             )
+            # JSON that is not an object, or a page int() cannot hold,
+            # gets an error reply; the connection stays open and the
+            # clock does not move.
+            time_before = server.time
+            not_objects = []
+            for line in (
+                b"[]", b"7", b"null", b'"x"',
+                b'{"op": "batch", "pages": [1e400]}',  # int(inf) overflows
+            ):
+                writer.write(line + b"\n")
+                await writer.drain()
+                not_objects.append(json.loads(await reader.readline()))
+                assert (await ask({"op": "ping"}))["ok"], line
+            assert server.time == time_before
             writer.close()
             await writer.wait_closed()
             await server.stop()
-            return stats, single, quote, ping, bad_op, bad_page, batch_detail
+            return (
+                stats, single, quote, ping, bad_op, bad_page, batch_detail,
+                not_objects,
+            )
 
-        stats, single, quote, ping, bad_op, bad_page, batch_detail = run(
-            scenario()
-        )
+        (
+            stats, single, quote, ping, bad_op, bad_page, batch_detail,
+            not_objects,
+        ) = run(scenario())
         sim = simulate(trace, POLICY_REGISTRY["lru"](), 48, costs=costs)
         assert stats["hits"] == sim.hits and stats["misses"] == sim.misses
         assert stats["client_hits"] == sim.hits
@@ -311,3 +329,5 @@ class TestTcpFrontEnd:
         assert not bad_op["ok"] and "unknown op" in bad_op["error"]
         assert not bad_page["ok"]
         assert batch_detail["ok"] and len(batch_detail["hit_flags"]) == 3
+        for reply in not_objects:
+            assert not reply["ok"] and reply["error"], reply

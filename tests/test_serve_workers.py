@@ -1,6 +1,6 @@
-"""ShardWorkerPool mechanics: routing, the ring/pipe wire, scrape-time
-merges, per-worker flight windows, crash semantics, and the replay
-report's timing split.
+"""ShardWorkerPool mechanics: routing, the framed pipe exchange,
+scrape-time merges, per-worker flight windows, crash semantics, clean
+shutdown, and the replay report's timing split.
 
 The equivalence of *results* under parallelism (every registry policy,
 workers x shards) lives in ``tests/test_serve_equivalence.py``; this
@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import asyncio
 import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.cost_functions import MonomialCost
 from repro.obs import FlightRecorder, Observability, replay_verify
 from repro.obs.flight import load_flight
@@ -61,88 +67,96 @@ def test_page_hash_array_matches_scalar():
 
 
 def test_pool_flags_invariant_across_workers_and_wire():
-    """The merged hit flags are bit-identical for any worker count, for
-    the ring vs pipe transports, and for the pipe's ring-escalation
-    threshold — at W in {1, 2, 4} (the transport-invariance matrix)."""
+    """The merged hit flags are bit-identical for any worker count, at
+    W in {1, 2, 4}, and match the in-process serving path."""
     trace = random_multi_tenant_trace(4, 50, 2000, seed=11)
     costs = [MonomialCost(2)] * trace.num_users
     base = None
     for workers in (1, 2, 4):
-        for transport, shm_threshold in (
-            ("ring", None),  # everything through the shared-memory ring
-            ("pipe", None),  # everything framed over the pipe
-            ("pipe", 1),  # pipe mode, every exchange escalated to ring
-            ("pipe", 64),  # mixed: small remainders pipe, full batches ring
-        ):
-            pool = make_pool(
-                trace, costs, workers=workers,
-                transport=transport, shm_threshold=shm_threshold,
-            )
-            try:
-                flags = drive(pool, trace)
-            finally:
-                pool.close()
-            if base is None:
-                base = flags
-            else:
-                assert np.array_equal(flags, base), (
-                    f"workers={workers} transport={transport} "
-                    f"shm_threshold={shm_threshold} diverged"
-                )
-    # Tie the pool to the (simulate-verified) serving path, over both
-    # transports end to end.
+        pool = make_pool(trace, costs, workers=workers)
+        try:
+            flags = drive(pool, trace)
+        finally:
+            pool.close()
+        if base is None:
+            base = flags
+        else:
+            assert np.array_equal(flags, base), f"workers={workers} diverged"
+    # Tie the pool to the (simulate-verified) serving path, in-process
+    # and over the wire end to end.
     report = serve_trace(
         trace, "lru", 64, costs, num_shards=4, policy_seed=SEED
     )
     assert int(base.sum()) == report.hits
-    piped = serve_trace(
-        trace, "lru", 64, costs, num_shards=4, policy_seed=SEED,
-        workers=2, transport="pipe",
+    pooled = serve_trace(
+        trace, "lru", 64, costs, num_shards=4, policy_seed=SEED, workers=2,
     )
-    assert piped.hits == report.hits
-    assert piped.user_misses.tolist() == report.user_misses.tolist()
+    assert pooled.hits == report.hits
+    assert pooled.user_misses.tolist() == report.user_misses.tolist()
 
 
-def test_ring_grows_for_oversized_batches():
-    """A single exchange larger than the initial ring capacity grows
-    the block in place (old block unlinked, cursors reset) and the
-    flags still match a small-batch drive."""
-    from repro.serve import workers as workers_mod
-
-    trace = random_multi_tenant_trace(3, 80, 4000, seed=17)
+def test_large_exchanges_ride_the_pipe():
+    """Single submissions far above the socket buffer (200,000 requests,
+    ~1.2 MB per worker frame) give the flags of a 64-request drive.
+    The drive runs under a timeout, so a pipe deadlock fails the test
+    instead of hanging it."""
+    batch = 200_000
+    trace = random_multi_tenant_trace(3, 80, 2 * batch, seed=17)
     costs = [MonomialCost(2)] * trace.num_users
     small = make_pool(trace, costs, workers=2)
     big = make_pool(trace, costs, workers=2)
     try:
-        # Shrink the initial capacities so a 4000-request trace in two
-        # submissions forces the growth path without a huge trace.
-        old_data, old_reply = (
-            workers_mod._DEFAULT_DATA_CAP, workers_mod._DEFAULT_REPLY_CAP
-        )
-        workers_mod._DEFAULT_DATA_CAP = 1 << 10
-        workers_mod._DEFAULT_REPLY_CAP = 1 << 7
-        try:
-            flags_big = drive(big, trace, batch=trace.length // 2 + 1)
-        finally:
-            workers_mod._DEFAULT_DATA_CAP = old_data
-            workers_mod._DEFAULT_REPLY_CAP = old_reply
+        with ThreadPoolExecutor(max_workers=1) as ex:
+            fut = ex.submit(drive, big, trace, batch)
+            try:
+                flags_big = fut.result(timeout=120)
+            except FutureTimeout:
+                big.close(graceful=False)  # unblocks the stuck exchange
+                pytest.fail(f"{batch}-request exchange did not finish")
+        assert max(len(buf) for buf in big._staging) > 1_000_000
         flags_small = drive(small, trace, batch=64)
         assert np.array_equal(flags_big, flags_small)
-        assert all(
-            ring is not None and ring["data_cap"] >= 1 << 10
-            for ring in big._rings
-        )
     finally:
         small.close()
         big.close()
 
 
-def test_transport_validated():
-    trace = zipf_trace(50, 100, skew=1.0, seed=1)
-    with pytest.raises(ValueError, match="transport"):
-        make_pool(trace, None, workers=2, transport="carrier-pigeon")
-    with pytest.raises(ValueError, match="transport"):
-        CacheServer("lru", 16, trace.owners, transport="smoke-signal")
+def test_pool_server_lifecycle_leaves_no_tracker_warnings():
+    """A W=2 server started, fed 5,000 requests, and stopped in a fresh
+    interpreter leaves nothing for the multiprocessing resource tracker
+    to report at exit."""
+    script = textwrap.dedent(
+        """
+        import asyncio
+
+        from repro.serve import CacheServer
+        from repro.workloads.builders import random_multi_tenant_trace
+
+        trace = random_multi_tenant_trace(4, 60, 5_000, seed=0)
+
+        async def main():
+            server = CacheServer(
+                "lru", 64, trace.owners, num_shards=4, workers=2
+            )
+            await server.start()
+            for i in range(0, trace.length, 250):
+                await server.request_many(
+                    trace.requests[i : i + 250].tolist()
+                )
+            await server.stop()
+            assert server.workers == 2 and server.time == trace.length
+
+        asyncio.run(main())
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 def test_pool_detail_path_matches_batch_path():
