@@ -62,7 +62,7 @@ def test_bench_simulate_in_ram(benchmark, zipf_hot_50k):
     assert r.hits + r.misses == zipf_hot_50k.length
 
 
-def test_bench_simulate_streamed(benchmark, hot_store, zipf_hot_50k):
+def test_bench_simulate_reader(benchmark, hot_store, zipf_hot_50k):
     def run():
         return simulate(open_trace(hot_store), POLICY_REGISTRY["lru"](), 1024)
 

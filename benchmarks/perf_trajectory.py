@@ -77,6 +77,14 @@ from repro.workloads.builders import zipf_trace  # noqa: E402
 
 POLICIES = ["lru", "fifo", "clock", "lfu", "greedydual", "alg-discrete"]
 
+#: Child-snippet expression for the child's own peak RSS in KB: VmHWM,
+#: not getrusage's ru_maxrss, which Linux carries across exec, so a
+#: child would report this process's larger peak instead of its own.
+CHILD_PEAK_KB = (
+    "next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+    "     if line.startswith('VmHWM:'))"
+)
+
 SERVE_POLICIES = ["lru", "alg-discrete"]
 SERVE_SHARDS = [1, 4]
 SERVE_BAR_RPS = 50_000
@@ -695,8 +703,8 @@ def outofcore_rows(trace, k: int, reps: int):
     like every other section; the serving row's counters are checked
     against a workers=1 streamed run of the same store.  The RSS rows
     stream a trace 100x the timing shape (:data:`OUTOFCORE_RSS_REQUESTS`
-    requests) in a child process that reports its own
-    ``getrusage(RUSAGE_SELF).ru_maxrss``; the streamed bound is
+    requests) in a child process that reports its own peak RSS
+    (``VmHWM``, :data:`CHILD_PEAK_KB`); the streamed bound is
     asserted, the in-RAM row (which materializes the column first) is
     recorded for contrast.
     """
@@ -796,7 +804,7 @@ def outofcore_rows(trace, k: int, reps: int):
         write_columnar(big, big_store)
         del big
         child = (
-            "import json, resource, sys\n"
+            "import json, sys\n"
             "from repro.policies import POLICY_REGISTRY\n"
             "from repro.sim import open_trace, simulate\n"
             "mode, store, k = sys.argv[1], sys.argv[2], int(sys.argv[3])\n"
@@ -805,7 +813,7 @@ def outofcore_rows(trace, k: int, reps: int):
             "    src = src.materialize()\n"
             "r = simulate(src, POLICY_REGISTRY['lru'](), k, validate=False)\n"
             "json.dump({'misses': r.misses, 'peak_kb':\n"
-            "    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},\n"
+            f"    {CHILD_PEAK_KB}}},\n"
             "    sys.stdout)\n"
         )
         rss_rows = []
@@ -981,7 +989,7 @@ def network_rows(trace, k: int, reps: int):
         # runs on a prefix-complete capture of exactly ring capacity,
         # where every node's window starts at t=0 by construction.
         child = (
-            "import json, resource, sys\n"
+            "import json, sys\n"
             "import numpy as np\n"
             "from repro.net import NetworkSim, path_topology\n"
             "from repro.obs import Observability\n"
@@ -1011,7 +1019,7 @@ def network_rows(trace, k: int, reps: int):
             "           for fl in psim.flights.values()]\n"
             "json.dump({'served': result.network_hits + result.origin_total,\n"
             "    'scraped': scraped, 'replays': replays, 'peak_kb':\n"
-            "    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},\n"
+            f"    {CHILD_PEAK_KB}}},\n"
             "    sys.stdout)\n"
         )
         out = subprocess.run(

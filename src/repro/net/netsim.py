@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,12 +67,9 @@ from repro.net.topology import Topology
 from repro.obs import Observability, default_observability
 from repro.obs.flight import FlightRecorder, has_budget_probe, record_miss
 from repro.sim.policy import EvictionPolicy, SimContext
-from repro.sim.trace import Trace
+from repro.sim.trace import DEFAULT_BATCH, Trace
 from repro.util.rng import derive_seed
 from repro.util.validation import check_positive_int
-
-#: Requests consumed per zero-copy batch view.
-DEFAULT_BATCH = 1 << 16
 
 #: Ingress assignment modes (besides an explicit callable).
 INGRESS_MODES = ("auto", "hash", "rr", "tenant")
@@ -229,22 +226,6 @@ class _NodeState:
             final_cache=[p for p, r in enumerate(self.res) if r],
             queue_peak=self.queue_peak,
         )
-
-
-def _iter_batches(
-    trace, batch: int
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Uniform ``(t0, pages)`` batch view over a Trace or a TraceReader."""
-    if isinstance(trace, Trace):
-        requests = trace.requests
-        for lo in range(0, requests.size, batch):
-            yield lo, requests[lo : lo + batch]
-        return
-    if not hasattr(trace, "batches"):
-        raise TypeError(
-            f"trace must be a Trace or a TraceReader, got {type(trace).__name__}"
-        )
-    yield from trace.batches(batch)
 
 
 class NetworkSim:
@@ -673,7 +654,7 @@ class NetworkSim:
         total = 0
         miss_path: List[int] = []
 
-        for base, chunk in _iter_batches(trace, batch):
+        for base, chunk in trace.batches(batch):
             pages = chunk.tolist()
             for i, page in enumerate(pages):
                 t = base + i

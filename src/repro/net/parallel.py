@@ -56,6 +56,7 @@ from repro.net.metrics import LatencyDist, NetResult, NodeStats
 from repro.net.strategies import RouteToOrigin
 from repro.obs.flight import FlightRecorder, has_budget_probe
 from repro.sim.policy import SimContext
+from repro.sim.trace import DEFAULT_BATCH
 
 __all__ = ["run_parallel"]
 
@@ -241,8 +242,6 @@ def run_parallel(sim, trace, batch: Optional[int] = None) -> NetResult:
     """
     import multiprocessing as mp
 
-    from repro.net.netsim import DEFAULT_BATCH, _iter_batches
-
     if batch is None:
         batch = DEFAULT_BATCH
     topo = sim.topology
@@ -355,7 +354,7 @@ def run_parallel(sim, trace, batch: Optional[int] = None) -> NetResult:
     def _feed() -> None:
         send = links[0][1]
         try:
-            for base, chunk in _iter_batches(trace, batch):
+            for base, chunk in trace.batches(batch):
                 send.send(("b", base, chunk.tolist()))
             send.send(("eof",))
         except BaseException as exc:  # pragma: no cover - error path

@@ -108,18 +108,6 @@ class ReplayReport:
         )
 
 
-def _batch_views(trace: Union[Trace, TraceReader], batch: int):
-    """Page-array batches in trace order: slices of the in-RAM request
-    array, or zero-copy segment views off a columnar reader."""
-    if isinstance(trace, Trace):
-        requests = trace.requests
-        for lo in range(0, requests.size, batch):
-            yield requests[lo : lo + batch]
-    else:
-        for _t0, chunk in trace.batches(batch):
-            yield chunk
-
-
 async def replay(
     server: CacheServer,
     trace: Union[Trace, TraceReader],
@@ -164,7 +152,7 @@ async def replay(
     start = time.perf_counter()
     inflight: List[tuple] = []  # (future, pages) in submission order
     sent = 0
-    for pages in _batch_views(trace, batch):
+    for _t0, pages in trace.batches(batch):
         if rate is not None:
             target = start + sent / rate
             delay = target - time.perf_counter()
@@ -269,7 +257,7 @@ async def replay_tcp(
     reader, writer = await asyncio.open_connection(host, port)
     hits = misses = 0
     try:
-        for chunk in _batch_views(trace, batch):
+        for _t0, chunk in trace.batches(batch):
             pages = chunk.tolist()
             writer.write(
                 json.dumps({"op": "batch", "pages": pages}).encode() + b"\n"

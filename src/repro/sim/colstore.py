@@ -20,7 +20,7 @@ at the default ``int32``.  Segments are loaded with
 yields zero-copy array views into the current segment's mapping and
 drops the mapping when the segment is exhausted, so peak resident
 memory is bounded by one segment (~16 MB at the defaults) no matter how
-long the trace is.  That is the property the streaming engine
+long the trace is.  That is the property the fast engine
 (:func:`repro.sim.engine.simulate` with a reader) and the serving
 replay path (:func:`repro.serve.client.replay`) build on: a 10⁸-request
 replay runs with the same flat RSS as a 10⁵ one.
@@ -37,7 +37,11 @@ the Twemcache/Twitter production-trace format) with a
 SQLite table once it outgrows a RAM threshold.
 
 The format is versioned via ``header.json``; anything this module
-cannot read raises :class:`ValueError` with the offending field.
+cannot read raises :class:`ValueError` with the offending field.  That
+includes a store whose files disagree with its header — an owners
+column of the wrong size, a segment of the wrong shape or dtype, or a
+page id outside ``[0, num_pages)`` — caught at open or as each segment
+is mapped, before any request reaches a consumer.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Unio
 
 import numpy as np
 
-from repro.sim.trace import Trace
+from repro.sim.trace import DEFAULT_BATCH, Trace
 from repro.util.validation import check_positive_int
 
 FORMAT_NAME = "repro-coltrace"
@@ -62,9 +66,6 @@ FORMAT_VERSION = 1
 #: enough that mmap/munmap churn is negligible, small enough that the
 #: one-segment-resident bound keeps streaming RSS flat.
 DEFAULT_SEGMENT_ROWS = 4 * 1024 * 1024
-
-#: Requests per zero-copy batch view yielded by :meth:`TraceReader.batches`.
-DEFAULT_BATCH = 1 << 16
 
 _HEADER_FILE = "header.json"
 _OWNERS_FILE = "owners.npy"
@@ -262,11 +263,21 @@ class TraceReader:
         if limit is not None:
             limit = check_positive_int(limit, "limit")
         self._limit = None if limit is None or limit >= total else limit
-        self.owners: np.ndarray = np.load(
-            os.path.join(path, header["owners_file"])
-        ).astype(np.int64, copy=False)
+        owners = np.load(os.path.join(path, header["owners_file"]))
         self.num_pages = int(header["num_pages"])
         self.num_users = int(header["num_users"])
+        if owners.ndim != 1 or owners.size == 0 or owners.size != self.num_pages:
+            raise ValueError(
+                f"{header['owners_file']}: shape {owners.shape}, header "
+                f"num_pages is {self.num_pages}"
+            )
+        if owners.min() < 0 or int(owners.max()) + 1 != self.num_users:
+            raise ValueError(
+                f"{header['owners_file']}: tenant ids span "
+                f"[{owners.min()}, {owners.max()}], header num_users is "
+                f"{self.num_users}"
+            )
+        self.owners: np.ndarray = owners.astype(np.int64, copy=False)
         base = header.get("name") or os.path.basename(os.path.normpath(path))
         self.name = base if self._limit is None else f"{base}[:{self._limit}]"
 
@@ -299,7 +310,12 @@ class TraceReader:
         self, batch_size: int = DEFAULT_BATCH
     ) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(t0, pages)`` where ``pages`` is a zero-copy view of
-        at most *batch_size* requests starting at global clock *t0*."""
+        at most *batch_size* requests starting at global clock *t0*.
+
+        Each segment is checked against the header as it is mapped
+        (1-D, the header's dtype and row count) and each view's page
+        ids against ``[0, num_pages)``; a mismatch raises
+        :class:`ValueError` naming the segment file."""
         batch_size = check_positive_int(batch_size, "batch_size")
         remaining = self.length
         t0 = 0
@@ -309,10 +325,20 @@ class TraceReader:
             mm = np.load(
                 os.path.join(self.path, seg["file"]), mmap_mode="r"
             )
+            if mm.shape != (int(seg["rows"]),) or mm.dtype != self.dtype:
+                raise ValueError(
+                    f"{seg['file']}: {mm.dtype} shape {mm.shape}, header "
+                    f"says {self.dtype} with {seg['rows']} rows"
+                )
             rows = min(int(seg["rows"]), remaining)
             for lo in range(0, rows, batch_size):
-                hi = min(lo + batch_size, rows)
-                yield t0 + lo, mm[lo:hi]
+                view = mm[lo : min(lo + batch_size, rows)]
+                if view.min() < 0 or view.max() >= self.num_pages:
+                    raise ValueError(
+                        f"{seg['file']}: page ids outside "
+                        f"[0, {self.num_pages}) at t={t0 + lo}"
+                    )
+                yield t0 + lo, view
             t0 += rows
             remaining -= rows
             del mm  # munmap once the consumer drops its views
@@ -392,8 +418,8 @@ def write_columnar(
         extra_header=extra,
     ) as writer:
         # Chunked so the int64 -> int32 cast never doubles the trace.
-        for lo in range(0, trace.length, segment_rows):
-            writer.append(trace.requests[lo : lo + segment_rows])
+        for _t0, pages in trace.batches(segment_rows):
+            writer.append(pages)
         if page_labels is not None:
             _write_labels(path, _PAGE_LABELS_FILE, page_labels, trace.num_pages)
         if tenant_labels is not None:

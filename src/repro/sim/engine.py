@@ -11,22 +11,29 @@ notes the two are equal under its end-of-sequence cache-flush
 convention; fetch-counting avoids the dummy user entirely and matches
 the quantity :math:`a_i(\\sigma)` in Theorem 1.1.
 
-Two interchangeable implementations share that contract:
+Two engines share that contract:
 
 * ``engine="reference"`` — the original per-request loop (a ``set``
-  membership test and an ``on_hit`` call per request).  It is the
-  ground truth for the equivalence suite.
+  membership test and an ``on_hit`` call per request) over an in-RAM
+  :class:`~repro.sim.trace.Trace`.  It is the ground truth for the
+  equivalence suite.
 * ``engine="fast"`` (the ``"auto"`` default) — exploits the fact that
   residency only changes on misses: between two misses the engine scans
   forward for the next non-resident request against a bool residency
   array (a Python-list walk for short runs, escalating to doubling
-  vectorized chunks ``resident[requests[t:t+C]]`` once a run proves
-  long) and hands the whole hit run to the policy through
+  vectorized chunks ``resident[pages[t:t+C]]`` once a run proves long)
+  and hands the whole hit run to the policy through
   :meth:`~repro.sim.policy.EvictionPolicy.on_hit_batch`.  Policies with
-  ``ignores_hits`` skip delivery entirely.  Miss handling is identical
-  to the reference loop, so the two engines produce bit-identical
-  :class:`SimResult`\\ s (enforced for every registered policy by
-  ``tests/test_engine_fast.py``).
+  ``ignores_hits`` skip delivery entirely.  It consumes the trace
+  through the ``batches()`` protocol, so the same loop runs over an
+  in-RAM :class:`~repro.sim.trace.Trace` and a streaming
+  :class:`~repro.sim.colstore.TraceReader`; a hit run cut by a batch
+  boundary reaches the policy as two ``on_hit_batch`` calls with the
+  same net effect.  Miss handling is identical to the reference loop,
+  so the engines produce bit-identical :class:`SimResult`\\ s
+  (enforced for every registered policy by
+  ``tests/test_engine_fast.py``, and for streamed readers by
+  ``tests/test_colstore.py``).
 """
 
 from __future__ import annotations
@@ -146,12 +153,13 @@ def simulate(
         The request sequence and ownership map — an in-RAM
         :class:`~repro.sim.trace.Trace` or a streaming
         :class:`~repro.sim.colstore.TraceReader` (the out-of-core
-        path: batches are consumed without materializing the request
-        column; results are bit-identical to the in-RAM engines,
-        enforced by ``tests/test_colstore.py`` for every registered
-        policy).  Readers support the fast engine only and cannot
-        record the miss curve or run offline (``requires_future``)
-        policies, since both need the whole trace resident.
+        path).  The fast engine consumes either through ``batches()``,
+        so a reader's request column is never materialized and the
+        results, events and miss curve are bit-identical to the in-RAM
+        run (enforced by ``tests/test_colstore.py`` for every
+        registered policy).  Readers cannot run the reference engine,
+        which indexes ``trace.requests``, or offline
+        (``requires_future``) policies, which read the whole future.
     policy:
         Any :class:`~repro.sim.policy.EvictionPolicy`.  It is ``reset``
         before the run, so instances may be reused across calls.
@@ -164,7 +172,8 @@ def simulate(
     record_events:
         Keep the eviction log (memory ~ number of misses).
     record_curve:
-        Keep the full per-user miss curve ``(T+1, n)``.
+        Keep the full per-user miss curve ``(T+1, n)`` (memory ~ ``T``,
+        for readers too).
     validate:
         Check the victim returned by the policy is resident and not the
         requested page.  Disable only in throughput benchmarks.
@@ -203,11 +212,6 @@ def simulate(
                 "streaming simulate supports the fast engine only "
                 "(materialize() the reader for engine='reference')"
             )
-        if record_curve:
-            raise ValueError(
-                "record_curve needs the whole trace resident; "
-                "materialize() the reader first"
-            )
         if policy.requires_future:
             raise ValueError(
                 f"{policy.name} is offline (requires_future) and needs the "
@@ -241,12 +245,7 @@ def simulate(
             source=f"sim:{engine}",
             trace=trace.name,
         )
-    if streaming:
-        run = _simulate_stream
-    elif engine == "reference":
-        run = _simulate_reference
-    else:
-        run = _simulate_fast
+    run = _simulate_reference if engine == "reference" else _simulate_fast
     if not (obs.tracer.enabled or obs.registry.enabled):
         policy.reset(ctx)
         return run(trace, policy, k, record_events, record_curve, validate, flight)
@@ -362,7 +361,7 @@ def _simulate_reference(
 
 
 def _simulate_fast(
-    trace: Trace,
+    trace,
     policy: EvictionPolicy,
     k: int,
     record_events: bool,
@@ -370,7 +369,7 @@ def _simulate_fast(
     validate: bool,
     flight: Optional[FlightRecorder] = None,
 ) -> SimResult:
-    """Hit-run scanning engine.
+    """Hit-run scanning engine over ``trace.batches()``.
 
     Residency lives in a bool array indexed by page (no hashing) plus a
     mirrored Python list (a plain-list probe beats both numpy scalar
@@ -380,13 +379,14 @@ def _simulate_fast(
     vectorized chunks of doubling size once the run proves long.  The
     hits in between reach the policy as one ``on_hit_batch`` call — or
     not at all for ``ignores_hits`` policies.
+
+    Memory beyond the residency arrays is one batch of the trace's own
+    ``batches()`` (plus the miss curve when recorded), for an in-RAM
+    :class:`Trace` and a :class:`~repro.sim.colstore.TraceReader` alike.
     """
     num_users = trace.num_users
     num_pages = trace.num_pages
-    requests = trace.requests
-    owners = trace.owners
-    req_list = requests.tolist()
-    T = len(req_list)
+    owners = np.asarray(trace.owners)
 
     res_arr = np.zeros(max(num_pages, 1), dtype=bool)
     res_list = [False] * max(num_pages, 1)
@@ -395,159 +395,10 @@ def _simulate_fast(
     user_misses = np.zeros(max(num_users, 1), dtype=np.int64)
     events: Optional[List[EvictionEvent]] = [] if record_events else None
     curve: Optional[np.ndarray] = (
-        np.zeros((T + 1, max(num_users, 1)), dtype=np.int64)
+        np.zeros((trace.length + 1, max(num_users, 1)), dtype=np.int64)
         if record_curve
         else None
     )
-
-    deliver_hits = not policy.ignores_hits
-    on_hit = policy.on_hit
-    on_hit_batch = policy.on_hit_batch
-    on_insert = policy.on_insert
-
-    fl = flight.append if flight is not None else None
-    fl_extend = flight.extend if flight is not None else None
-    fl_zero = repeat(0)
-    probe = flight is not None and has_budget_probe(policy)
-    owners_l = trace.owners.tolist() if flight is not None else None
-    if flight is not None:
-        flight.bind(owners_l)
-
-    t = 0
-    vector_mode = False  # sticky: the previous run was long
-    while t < T:
-        # ---- scan for the next miss; [t, nm) is a maximal hit run ----
-        nm = t
-        escalate = vector_mode
-        if not escalate:
-            walk_end = t + _WALK_LIMIT
-            if walk_end > T:
-                walk_end = T
-            while nm < walk_end and res_list[req_list[nm]]:
-                nm += 1
-            escalate = nm == walk_end and nm < T
-        if escalate:
-            # Long run: vectorized chunk scanning with doubling chunks.
-            # argmin of a bool block is its first False (the miss); a
-            # True at that position means the whole block hit.
-            chunk = _CHUNK_START
-            while nm < T:
-                block = res_arr[requests[nm : nm + chunk]]
-                j = int(block.argmin())
-                if block[j]:
-                    nm += block.size
-                    if chunk < _CHUNK_CAP:
-                        chunk <<= 1
-                else:
-                    nm += j
-                    break
-
-        run_len = nm - t
-        vector_mode = run_len >= _WALK_LIMIT
-        if run_len:
-            hits += run_len
-            if deliver_hits:
-                if run_len == 1:
-                    on_hit(req_list[t], t)
-                else:
-                    on_hit_batch(req_list[t:nm], t)
-            if fl_extend is not None:
-                # Bulk-append the whole hit run; zip builds the compact
-                # (t, page, shard) tuples in C.
-                fl_extend(zip(range(t, nm), req_list[t:nm], fl_zero))
-            if curve is not None:
-                curve[t + 1 : nm + 1] = user_misses
-        if nm >= T:
-            break
-
-        # ---- miss at nm: identical mechanics to the reference loop ----
-        page = req_list[nm]
-        user_misses[owners[page]] += 1
-        if size < k:
-            res_arr[page] = True
-            res_list[page] = True
-            size += 1
-            on_insert(page, nm)
-            if fl is not None:
-                record_miss(
-                    fl, policy, probe, owners_l[page], nm, page, 0, None, None
-                )
-        else:
-            victim = policy.choose_victim(page, nm)
-            if validate:
-                if victim < 0 or victim >= num_pages or not res_list[victim]:
-                    raise RuntimeError(
-                        f"{policy.name} evicted non-resident page {victim} at t={nm}"
-                    )
-                if victim == page:
-                    raise RuntimeError(
-                        f"{policy.name} evicted the requested page {page} at t={nm}"
-                    )
-            b_before = (
-                float(policy.budget_of(victim))
-                if fl is not None and probe
-                else None
-            )
-            res_arr[victim] = False
-            res_list[victim] = False
-            policy.on_evict(victim, nm)
-            res_arr[page] = True
-            res_list[page] = True
-            on_insert(page, nm)
-            if events is not None:
-                events.append(EvictionEvent(t=nm, requested=page, victim=victim))
-            if fl is not None:
-                record_miss(
-                    fl, policy, probe, owners_l[page], nm, page, 0, victim, b_before
-                )
-        if curve is not None:
-            curve[nm + 1] = user_misses
-        t = nm + 1
-
-    return SimResult(
-        policy_name=policy.name,
-        trace_name=trace.name,
-        k=k,
-        hits=hits,
-        misses=int(user_misses.sum()),
-        user_misses=user_misses,
-        final_cache=np.flatnonzero(res_arr).tolist(),
-        events=events,
-        miss_curve=curve,
-    )
-
-
-def _simulate_stream(
-    reader,
-    policy: EvictionPolicy,
-    k: int,
-    record_events: bool,
-    record_curve: bool,
-    validate: bool,
-    flight: Optional[FlightRecorder] = None,
-) -> SimResult:
-    """Out-of-core engine: the fast engine's hit-run scanner applied
-    batch by batch to a :class:`~repro.sim.colstore.TraceReader`.
-
-    Correctness leans on the ``on_hit_batch`` contract — a batch
-    delivery must be observably identical to the per-hit loop
-    (:mod:`repro.sim.policy`, enforced by the engine-equivalence
-    suite) — so a maximal hit run split at a batch boundary reaches
-    the policy as two calls with the same net effect, and the
-    per-tenant counters are bit-identical to the in-RAM engines no
-    matter the batch size.  Memory is bounded by one reader batch
-    plus the residency arrays (page universe), never the trace length.
-    """
-    num_users = reader.num_users
-    num_pages = reader.num_pages
-    owners = np.asarray(reader.owners)
-
-    res_arr = np.zeros(max(num_pages, 1), dtype=bool)
-    res_list = [False] * max(num_pages, 1)
-    size = 0
-    hits = 0
-    user_misses = np.zeros(max(num_users, 1), dtype=np.int64)
-    events: Optional[List[EvictionEvent]] = [] if record_events else None
 
     deliver_hits = not policy.ignores_hits
     on_hit = policy.on_hit
@@ -562,13 +413,13 @@ def _simulate_stream(
     if flight is not None:
         flight.bind(owners_l)
 
-    for base, chunk in reader.batches():
-        req_list = chunk.tolist()
+    vector_mode = False  # sticky: the previous run was long
+    for base, pages in trace.batches():
+        req_list = pages.tolist()
         B = len(req_list)
         t = 0
-        vector_mode = False
         while t < B:
-            # ---- scan for the next miss within this batch ----
+            # ---- scan for the next miss; [t, nm) is a maximal hit run ----
             nm = t
             escalate = vector_mode
             if not escalate:
@@ -579,14 +430,17 @@ def _simulate_stream(
                     nm += 1
                 escalate = nm == walk_end and nm < B
             if escalate:
-                chunk_sz = _CHUNK_START
+                # Long run: vectorized chunk scanning with doubling
+                # chunks.  argmin of a bool block is its first False
+                # (the miss); a True there means the whole block hit.
+                chunk = _CHUNK_START
                 while nm < B:
-                    block = res_arr[chunk[nm : nm + chunk_sz]]
+                    block = res_arr[pages[nm : nm + chunk]]
                     j = int(block.argmin())
                     if block[j]:
                         nm += block.size
-                        if chunk_sz < _CHUNK_CAP:
-                            chunk_sz <<= 1
+                        if chunk < _CHUNK_CAP:
+                            chunk <<= 1
                     else:
                         nm += j
                         break
@@ -601,13 +455,17 @@ def _simulate_stream(
                     else:
                         on_hit_batch(req_list[t:nm], base + t)
                 if fl_extend is not None:
+                    # Bulk-append the whole hit run; zip builds the
+                    # compact (t, page, shard) tuples in C.
                     fl_extend(
                         zip(range(base + t, base + nm), req_list[t:nm], fl_zero)
                     )
+                if curve is not None:
+                    curve[base + t + 1 : base + nm + 1] = user_misses
             if nm >= B:
                 break
 
-            # ---- miss: identical mechanics to the in-RAM engines ----
+            # ---- miss at gt: identical mechanics to the reference loop ----
             page = req_list[nm]
             gt = base + nm
             user_misses[owners[page]] += 1
@@ -645,26 +503,26 @@ def _simulate_stream(
                 res_list[page] = True
                 on_insert(page, gt)
                 if events is not None:
-                    events.append(
-                        EvictionEvent(t=gt, requested=page, victim=victim)
-                    )
+                    events.append(EvictionEvent(t=gt, requested=page, victim=victim))
                 if fl is not None:
                     record_miss(
                         fl, policy, probe, owners_l[page], gt, page, 0,
                         victim, b_before,
                     )
+            if curve is not None:
+                curve[gt + 1] = user_misses
             t = nm + 1
 
     return SimResult(
         policy_name=policy.name,
-        trace_name=reader.name,
+        trace_name=trace.name,
         k=k,
         hits=hits,
         misses=int(user_misses.sum()),
         user_misses=user_misses,
         final_cache=np.flatnonzero(res_arr).tolist(),
         events=events,
-        miss_curve=None,
+        miss_curve=curve,
     )
 
 

@@ -14,11 +14,15 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.util.validation import check_positive_int
+
+#: Requests per batch view yielded by :meth:`Trace.batches` and
+#: :meth:`repro.sim.colstore.TraceReader.batches`.
+DEFAULT_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,18 @@ class Trace:
     def owner_of(self, page: int) -> int:
         """The paper's :math:`i(p)`."""
         return int(self.owners[page])
+
+    def batches(
+        self, batch_size: int = DEFAULT_BATCH
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield ``(t0, requests[t0 : t0 + batch_size])`` views in
+        trace order — the batch protocol of
+        :meth:`repro.sim.colstore.TraceReader.batches`, so consumers
+        stream either trace kind through one loop."""
+        batch_size = check_positive_int(batch_size, "batch_size")
+        requests = self.requests
+        for t0 in range(0, requests.size, batch_size):
+            yield t0, requests[t0 : t0 + batch_size]
 
     # ------------------------------------------------------------------
     # Derived quantities used throughout the paper's notation
@@ -254,4 +270,4 @@ def single_user_trace(requests: Sequence[int], num_pages: Optional[int] = None, 
     return Trace(req, np.zeros(num_pages, dtype=np.int64), name=name)
 
 
-__all__ = ["Trace", "make_trace", "single_user_trace"]
+__all__ = ["DEFAULT_BATCH", "Trace", "make_trace", "single_user_trace"]

@@ -44,7 +44,7 @@ import gzip
 import io
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Union
+from typing import Dict, List, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -173,18 +173,6 @@ def load_csv(source: Union[str, TextIO], name: str = "csv-trace") -> LoadedTrace
             fh.close()
 
 
-def _request_chunks(trace, chunk: int = _CSV_CHUNK) -> Iterator[np.ndarray]:
-    """Request-id chunks in trace order, from an in-RAM :class:`Trace`
-    (array slices) or a columnar reader (mmap'd segment views)."""
-    requests = getattr(trace, "requests", None)
-    if requests is not None:
-        for lo in range(0, len(requests), chunk):
-            yield requests[lo : lo + chunk]
-    else:
-        for _t0, view in trace.batches(chunk):
-            yield view
-
-
 def save_csv(
     trace,
     target: Union[str, TextIO],
@@ -215,7 +203,7 @@ def save_csv(
         writer = csv.writer(fh)
         writer.writerow(["t", "page", "tenant"])
         t = 0
-        for chunk in _request_chunks(trace):
+        for _t0, chunk in trace.batches(_CSV_CHUNK):
             tids = owners[chunk]
             for pid, tid in zip(chunk.tolist(), tids.tolist()):
                 page = (

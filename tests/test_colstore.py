@@ -3,11 +3,12 @@
 Two pillars.  First, the storage layer itself — writer/reader
 round-trips, segmentation, zero-copy batch views, the constant-memory
 CSV and kv-log converters, and the spillable id map they lean on.
-Second, the acceptance bar from the streaming engine: feeding a
+Second, the acceptance bar for streamed simulation: feeding a
 :class:`~repro.sim.colstore.TraceReader` to :func:`repro.sim.simulate`
-must produce **bit-identical** per-tenant counters to the in-RAM run
-for every registered policy, with segment and batch boundaries placed
-adversarially (tiny ``segment_rows`` forces many splits).
+must produce **bit-identical** per-tenant counters, eviction events and
+miss curves to the in-RAM run for every registered policy, with
+segment and batch boundaries placed adversarially (tiny
+``segment_rows`` forces many splits).
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ class TestWriterReader:
             parts.append(np.asarray(chunk, dtype=np.int64))
         assert t_next == trace.length
         np.testing.assert_array_equal(np.concatenate(parts), trace.requests)
+        # Where b divides segment_rows, Trace.batches(b) cuts exactly
+        # where the reader does: same t0s, same pages.
+        for b in (1, 64, 256, 512):
+            in_ram = [(t0, pages.tolist()) for t0, pages in trace.batches(b)]
+            streamed = [(t0, pages.tolist()) for t0, pages in reader.batches(b)]
+            assert in_ram == streamed, b
 
     def test_batches_are_zero_copy_views(self, tmp_path, trace):
         reader = write_columnar(trace, str(tmp_path / "col"))
@@ -191,6 +198,38 @@ class TestErrors:
         w.append(trace.requests)
         # No close(): header.json absent, the directory must not parse.
         assert not is_columnar(str(tmp_path / "col"))
+
+    # A store whose files disagree with its header: 80 requests over 4
+    # pages, one segment, each file then damaged after the write.
+    @staticmethod
+    def small_store(tmp_path):
+        trace = Trace(np.arange(80) % 4, [0, 1, 0, 1], name="small")
+        path = str(tmp_path / "col")
+        write_columnar(trace, path)
+        return path, os.path.join(path, "seg-00000.npy")
+
+    def test_short_segment_rejected(self, tmp_path):
+        path, seg = self.small_store(tmp_path)
+        np.save(seg, np.load(seg)[:40])
+        reader = open_trace(path)
+        with pytest.raises(ValueError, match="seg-00000.npy"):
+            simulate(reader, POLICY_REGISTRY["lru"](), 2)
+
+    def test_owners_disagree_with_header_rejected(self, tmp_path):
+        path, _seg = self.small_store(tmp_path)
+        owners = os.path.join(path, "owners.npy")
+        np.save(owners, np.load(owners)[:2])
+        with pytest.raises(ValueError, match="owners.npy"):
+            open_trace(path)
+
+    def test_out_of_range_page_rejected(self, tmp_path):
+        path, seg = self.small_store(tmp_path)
+        pages = np.load(seg)
+        pages[50] = -1
+        np.save(seg, pages)
+        reader = open_trace(path)
+        with pytest.raises(ValueError, match="seg-00000.npy"):
+            simulate(reader, POLICY_REGISTRY["lru"](), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +371,12 @@ def run_pair(policy_name, trace, reader, k=64):
     results = []
     for t in (trace, reader):
         policy = make_policy(POLICY_REGISTRY[policy_name])
-        results.append(simulate(t, policy, k=k, costs=costs))
+        results.append(
+            simulate(
+                t, policy, k=k, costs=costs, record_events=True,
+                record_curve=True,
+            )
+        )
     return results
 
 
@@ -340,26 +384,24 @@ def run_pair(policy_name, trace, reader, k=64):
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 def test_streaming_bit_identical(tmp_path, policy_name, trace_name):
     trace = TRACES[trace_name]()
-    # Tiny segments: many batch boundaries inside every hit run.
-    reader = write_columnar(trace, str(tmp_path / "col"), segment_rows=512)
-    if POLICY_REGISTRY[policy_name]().requires_future:
-        with pytest.raises(ValueError, match="requires_future"):
-            run_pair(policy_name, trace, reader)
-        return
-    in_ram, streamed = run_pair(policy_name, trace, reader)
-    assert streamed.hits == in_ram.hits
-    assert streamed.misses == in_ram.misses
-    np.testing.assert_array_equal(streamed.user_misses, in_ram.user_misses)
-    assert sorted(streamed.final_cache) == sorted(in_ram.final_cache)
-
-
-def test_streaming_events_match(tmp_path, trace):
-    reader = write_columnar(trace, str(tmp_path / "col"), segment_rows=512)
-    policy = make_policy(POLICY_REGISTRY["lru"])
-    a = simulate(trace, policy, k=64, record_events=True)
-    policy = make_policy(POLICY_REGISTRY["lru"])
-    b = simulate(reader, policy, k=64, record_events=True)
-    assert a.events == b.events
+    # Tiny segments: many batch boundaries inside every hit run, at two
+    # offsets against the runs (97 is prime, 512 a power of two).
+    for segment_rows in (97, 512):
+        reader = write_columnar(
+            trace, str(tmp_path / f"col-{segment_rows}"),
+            segment_rows=segment_rows,
+        )
+        if POLICY_REGISTRY[policy_name]().requires_future:
+            with pytest.raises(ValueError, match="requires_future"):
+                run_pair(policy_name, trace, reader)
+            continue
+        in_ram, streamed = run_pair(policy_name, trace, reader)
+        assert streamed.hits == in_ram.hits
+        assert streamed.misses == in_ram.misses
+        np.testing.assert_array_equal(streamed.user_misses, in_ram.user_misses)
+        assert streamed.final_cache == in_ram.final_cache
+        assert streamed.events == in_ram.events
+        np.testing.assert_array_equal(streamed.miss_curve, in_ram.miss_curve)
 
 
 class TestStreamingGuards:
@@ -368,12 +410,6 @@ class TestStreamingGuards:
         with pytest.raises(ValueError, match="fast engine"):
             simulate(reader, make_policy(POLICY_REGISTRY["lru"]), k=64,
                      engine="reference")
-
-    def test_miss_curve_rejected(self, tmp_path, trace):
-        reader = write_columnar(trace, str(tmp_path / "col"))
-        with pytest.raises(ValueError, match="record_curve"):
-            simulate(reader, make_policy(POLICY_REGISTRY["lru"]), k=64,
-                     record_curve=True)
 
     def test_bogus_trace_type_rejected(self):
         with pytest.raises(TypeError, match="Trace or a TraceReader"):
