@@ -162,10 +162,12 @@ class AlgContinuous(EvictionPolicy):
 
         self._index.subtract_from_all(delta)
 
-        m_before = int(self._evictions_by_user[user])
-        self._evictions_by_user[user] += 1
-        self._fresh_cache.pop(user, None)
-        uplift = self._gradient(user, m_before + 2) - self._gradient(user, m_before + 1)
+        # One derivative per eviction, as in AlgDiscrete.on_evict.
+        before = self._fresh_budget(user)
+        m = int(self._evictions_by_user[user]) + 1
+        self._evictions_by_user[user] = m
+        after = self._fresh_cache[user] = self._gradient(user, m + 1)
+        uplift = after - before
         if uplift != 0.0:
             self._index.uplift_user(user, uplift)
 

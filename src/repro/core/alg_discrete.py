@@ -185,10 +185,13 @@ class AlgDiscrete(EvictionPolicy):
         self._index.subtract_from_all(budget)
 
         # Step 4: the evicted user's pages now face a steeper gradient.
-        m_before = int(self.evictions_by_user[user])  # m(i(p), t-1)
-        self.evictions_by_user[user] += 1
-        self._fresh_cache.pop(user, None)
-        uplift = self._gradient(user, m_before + 2) - self._gradient(user, m_before + 1)
+        # The uplift f'(m+2) - f'(m+1) at m = m(i(p), t-1) reuses the
+        # cached fresh budget f'(m+1); f'(m+2) becomes the next one.
+        before = self.fresh_budget(user)
+        m = int(self.evictions_by_user[user]) + 1
+        self.evictions_by_user[user] = m
+        after = self._fresh_cache[user] = self._gradient(user, m + 1)
+        uplift = after - before
         if uplift != 0.0:
             self._index.uplift_user(user, uplift)
 

@@ -36,17 +36,17 @@ class NaiveAlgDiscrete(EvictionPolicy):
     name = "alg-naive"
     requires_costs = True
 
-    def __init__(self, derivative_mode: str = "continuous") -> None:
+    def __init__(
+        self, derivative_mode: str = "continuous", smoothing_window: int = 100
+    ) -> None:
         if derivative_mode not in DERIVATIVE_MODES:
             raise ValueError(
                 f"derivative_mode must be one of {DERIVATIVE_MODES}, got {derivative_mode!r}"
             )
-        if derivative_mode == "smoothed":
-            raise NotImplementedError(
-                "the smoothed practical variant lives only in the optimised "
-                "AlgDiscrete; the naive reference mirrors the paper's Fig. 3"
-            )
+        if smoothing_window < 1:
+            raise ValueError(f"smoothing_window must be >= 1, got {smoothing_window}")
         self.derivative_mode = derivative_mode
+        self.smoothing_window = int(smoothing_window)
         self._costs: Optional[Sequence[CostFunction]] = None
         self._owners: Optional[np.ndarray] = None
         self._budget: Dict[int, float] = {}
@@ -75,7 +75,8 @@ class NaiveAlgDiscrete(EvictionPolicy):
             return float(f.derivative(float(m)))
         if self.derivative_mode == "marginal":
             return f.marginal(m)
-        raise NotImplementedError("smoothed mode lives in the optimised class")
+        W = self.smoothing_window
+        return (float(f.value(m - 1 + W)) - float(f.value(m - 1))) / W
 
     def _fresh_budget(self, user: int) -> float:
         return self._gradient(user, int(self.evictions_by_user[user]) + 1)
@@ -153,7 +154,10 @@ class NaiveAlgDiscrete(EvictionPolicy):
         return dict(self._budget)
 
     def __repr__(self) -> str:
-        return f"NaiveAlgDiscrete(derivative_mode={self.derivative_mode!r})"
+        return (
+            f"NaiveAlgDiscrete(derivative_mode={self.derivative_mode!r}, "
+            f"smoothing_window={self.smoothing_window})"
+        )
 
 
 __all__ = ["NaiveAlgDiscrete"]

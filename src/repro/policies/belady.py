@@ -21,8 +21,9 @@ from repro.util.heap import AddressableHeap
 class BeladyPolicy(EvictionPolicy):
     """Evict the resident page whose next request is furthest in the future.
 
-    Pages never requested again have next-use :math:`T` (+page id for a
-    deterministic tie-break) and are evicted first.
+    Pages never requested again all have next-use :math:`T` and are
+    evicted first; their keys tie at :math:`-T`, so the heap's
+    insertion order breaks the tie: the one fetched earliest goes first.
     """
 
     name = "belady"

@@ -523,12 +523,14 @@ class CacheServer:
     # Submission API
     # ------------------------------------------------------------------
     def _check_pages(self, pages: Sequence[int]) -> None:
+        if len(pages) == 0:
+            return
         num_pages = self.shards.num_pages
-        for page in pages:
-            if not 0 <= page < num_pages:
-                raise ValueError(
-                    f"page {page} outside the universe [0, {num_pages})"
-                )
+        lo, hi = min(pages), max(pages)
+        if lo < 0 or hi >= num_pages:
+            raise ValueError(
+                f"page {lo if lo < 0 else hi} outside the universe [0, {num_pages})"
+            )
 
     def _ingress_span(self, n: int):
         """Ingress span for one submission, honouring ``trace_sample``.
@@ -1358,7 +1360,10 @@ class CacheServer:
                 )
             op = msg.get("op")
             if op == "request":
-                out = await self.request(int(msg["page"]))
+                page = msg["page"]
+                if type(page) is not int:
+                    raise TypeError(f"page must be a JSON integer, got {page!r}")
+                out = await self.request(page)
                 self._reply_ctx = self._route_ctx.pop(out.t, None)
                 return {
                     "ok": True,
@@ -1368,7 +1373,10 @@ class CacheServer:
                     "shard": out.shard,
                 }
             if op == "batch":
-                pages = [int(p) for p in msg["pages"]]
+                pages = msg["pages"]
+                # type() is exact: bools, floats and strings are refused.
+                if type(pages) is not list or not set(map(type, pages)) <= {int}:
+                    raise TypeError("pages must be a JSON array of integers")
                 out = await self.request_many(pages)
                 self._reply_ctx = self._route_ctx.pop(out.t0, None)
                 resp: Dict[str, object] = {
@@ -1389,7 +1397,13 @@ class CacheServer:
                     return {"ok": False, "error": "no auditor attached"}
                 return {"ok": True, "audit": self.audit()}
             if op == "quote":
-                tenant = int(msg["tenant"])
+                tenant = msg["tenant"]
+                if type(tenant) is not int:
+                    raise TypeError(f"tenant must be a JSON integer, got {tenant!r}")
+                if not 0 <= tenant < self.shards.num_users:
+                    raise ValueError(
+                        f"tenant {tenant} outside [0, {self.shards.num_users})"
+                    )
                 ledger = self._serve_view()[0]
                 return {
                     "ok": True,

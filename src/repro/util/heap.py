@@ -1,197 +1,201 @@
-"""Addressable binary min-heap.
+"""Addressable min-heap with lazy deletion over :mod:`heapq`.
 
 The budget-driven eviction rules in the paper's ALG-DISCRETE, and the
 classic GreedyDual weighted-caching baseline, repeatedly need "the cached
 page with the smallest key" while keys of arbitrary resident pages are
 updated on hits.  Python's :mod:`heapq` has no decrease-key, so this
-module provides a small addressable heap with ``O(log n)`` push / pop /
-update / remove and ``O(1)`` peek and membership.
+module layers item addressing on top of it by *lazy deletion*: the
+``heapq`` list holds ``(key, seqno, item)`` tuples, a dict maps each
+item to its one live entry, and entries that are no longer live stay in
+the list until they surface at the top (or until a rebuild).
 
-Ties are broken by insertion order (FIFO among equal keys) so that the
-algorithms built on top are fully deterministic — the paper's analysis
-allows any tie-break, but determinism makes the ALG-CONT/ALG-DISCRETE
-equivalence testable.
+* ``push`` appends a live entry (``heappush``, in C).
+* ``update`` to a different key pushes a replacement entry carrying the
+  item's *original* seqno; the old entry goes stale.  An update to an
+  equal key pushes nothing.
+* ``remove`` drops the item's live entry; its tuple goes stale.
+* ``peek`` / ``pop`` discard stale tops before answering.
+* Once the list exceeds ``2 * len(self) + 32`` entries it is rebuilt
+  from the live entries with ``heapify``, so the list never holds more
+  than that many, and each rebuild's ``O(n)`` is paid for by the
+  updates and removals since the last one.
+
+Bounds (``n`` live items): ``push`` / ``update`` / ``pop`` / ``peek`` /
+``remove`` in amortised ``O(log n)``; ``len``, membership and
+``key_of`` in ``O(1)``; ``add_to_all`` in ``O(n)``.
+
+Ordering contract: ``pop`` and ``peek`` return the live item with the
+smallest ``(key, seqno)``, where ``seqno`` counts ``push`` calls and is
+kept across updates — equal keys pop FIFO by insertion, exactly as an
+eagerly sifted binary heap over the same pairs would.  The paper's
+analysis allows any tie-break, but determinism makes the
+ALG-CONT/ALG-DISCRETE equivalence testable.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Hashable, Iterator, Optional, Tuple, TypeVar
+from heapq import heapify, heappop, heappush
+from typing import Generic, Hashable, Iterator, Tuple, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 
 
 class AddressableHeap(Generic[K]):
-    """Binary min-heap over ``(key, item)`` with item-addressed updates.
+    """Min-heap over ``(key, item)`` with item-addressed updates.
 
     Items must be hashable and unique.  Keys are compared as
     ``(key, seqno)`` pairs where ``seqno`` is a monotone insertion
-    counter, making tie-breaking deterministic and FIFO.
+    counter, making tie-breaking deterministic and FIFO.  An entry is
+    live while it equals the item's entry in ``_live``: an update to an
+    equal key replaces only the ``_live`` tuple (so :meth:`key_of`
+    returns the last key stored, ``-0.0`` included), and the heap's
+    equal tuple stands for it.
     """
 
-    __slots__ = ("_entries", "_index", "_counter")
+    __slots__ = ("_heap", "_live", "_counter")
 
     def __init__(self) -> None:
-        # Parallel array of [key, seqno, item] entries forming the heap.
-        self._entries: list[list] = []
-        # item -> position in self._entries
-        self._index: dict[K, int] = {}
+        # heapq list of (key, seqno, item) tuples, live and stale.
+        self._heap: list[tuple] = []
+        # item -> its live (key, seqno, item) entry
+        self._live: dict[K, tuple] = {}
         self._counter: int = 0
 
     # ------------------------------------------------------------------
     # Basic container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._live)
 
     def __contains__(self, item: K) -> bool:
-        return item in self._index
+        return item in self._live
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._live)
 
     def __iter__(self) -> Iterator[K]:
-        """Iterate items in arbitrary (heap) order."""
-        for entry in self._entries:
-            yield entry[2]
+        """Iterate items in arbitrary (but deterministic) order."""
+        return iter(self._live)
 
     def items(self) -> Iterator[Tuple[K, float]]:
-        """Iterate ``(item, key)`` pairs in arbitrary (heap) order."""
-        for entry in self._entries:
-            yield entry[2], entry[0]
+        """Iterate ``(item, key)`` pairs in arbitrary (but deterministic)
+        order."""
+        for item, entry in self._live.items():
+            yield item, entry[0]
 
     # ------------------------------------------------------------------
     # Heap operations
     # ------------------------------------------------------------------
     def push(self, item: K, key: float) -> None:
         """Insert *item* with *key*; raises if the item is present."""
-        if item in self._index:
+        live = self._live
+        if item in live:
             raise KeyError(f"item {item!r} already in heap; use update()")
-        entry = [key, self._counter, item]
+        entry = (key, self._counter, item)
         self._counter += 1
-        self._entries.append(entry)
-        self._index[item] = len(self._entries) - 1
-        self._sift_up(len(self._entries) - 1)
+        live[item] = entry
+        # The list grows by one and its bound by two: no rebuild is due.
+        heappush(self._heap, entry)
 
     def pop(self) -> Tuple[K, float]:
         """Remove and return ``(item, key)`` with the smallest key."""
-        if not self._entries:
-            raise IndexError("pop from empty heap")
-        top = self._entries[0]
-        last = self._entries.pop()
-        del self._index[top[2]]
-        if self._entries:
-            self._entries[0] = last
-            self._index[last[2]] = 0
-            self._sift_down(0)
-        return top[2], top[0]
+        heap = self._heap
+        live = self._live
+        while heap:
+            entry = heappop(heap)
+            item = entry[2]
+            current = live.get(item)
+            if current is not None and current == entry:
+                del live[item]
+                if len(heap) > 2 * len(live) + 32:
+                    self._rebuild()
+                return item, current[0]
+        raise IndexError("pop from empty heap")
 
     def peek(self) -> Tuple[K, float]:
         """Return ``(item, key)`` with the smallest key without removal."""
-        if not self._entries:
-            raise IndexError("peek on empty heap")
-        top = self._entries[0]
-        return top[2], top[0]
+        heap = self._heap
+        live = self._live
+        while heap:
+            entry = heap[0]
+            current = live.get(entry[2])
+            if current is not None and current == entry:
+                return entry[2], current[0]
+            heappop(heap)
+        raise IndexError("peek on empty heap")
 
     def key_of(self, item: K) -> float:
         """Current key of *item* (raises ``KeyError`` if absent)."""
-        return self._entries[self._index[item]][0]
+        return self._live[item][0]
 
     def update(self, item: K, key: float) -> None:
-        """Change the key of an existing *item*, restoring heap order."""
-        pos = self._index[item]
-        old = self._entries[pos][0]
-        self._entries[pos][0] = key
-        if key < old:
-            self._sift_up(pos)
-        elif key > old:
-            self._sift_down(pos)
+        """Change the key of an existing *item*, keeping its seqno."""
+        live = self._live
+        entry = live[item]
+        if key == entry[0]:
+            live[item] = (key, entry[1], item)
+            return
+        entry = (key, entry[1], item)
+        live[item] = entry
+        heap = self._heap
+        heappush(heap, entry)
+        if len(heap) > 2 * len(live) + 32:
+            self._rebuild()
 
     def push_or_update(self, item: K, key: float) -> None:
         """Insert *item* or update its key if already present."""
-        if item in self._index:
+        if item in self._live:
             self.update(item, key)
         else:
             self.push(item, key)
 
     def remove(self, item: K) -> float:
         """Remove *item*, returning its key."""
-        pos = self._index[item]
-        entry = self._entries[pos]
-        last = self._entries.pop()
-        del self._index[item]
-        if pos < len(self._entries):
-            self._entries[pos] = last
-            self._index[last[2]] = pos
-            # Restore order in whichever direction is needed.
-            self._sift_up(pos)
-            self._sift_down(self._index[last[2]])
-        return entry[0]
+        live = self._live
+        key = live.pop(item)[0]
+        if len(self._heap) > 2 * len(live) + 32:
+            self._rebuild()
+        return key
 
     def add_to_all(self, delta: float) -> None:
-        """Add *delta* to every key in place.
+        """Add *delta* to every key, then rebuild.  ``O(n)``.
 
-        A uniform shift preserves heap order, so this is ``O(n)`` with no
-        restructuring.  ALG-DISCRETE's "subtract the evicted budget from
-        everyone" step uses this (see
+        ALG-DISCRETE's "subtract the evicted budget from everyone" step
+        can be written with this (see
         :class:`repro.core.alg_discrete.AlgDiscrete`, which instead keeps
         a global offset for ``O(1)`` — this method exists for the direct,
         easily-audited implementation and for tests).
         """
-        for entry in self._entries:
-            entry[0] += delta
+        self._live = {
+            item: (key + delta, seqno, item)
+            for item, (key, seqno, _item) in self._live.items()
+        }
+        self._rebuild()
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._index.clear()
+        self._heap.clear()
+        self._live.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _less(self, a: int, b: int) -> bool:
-        ea, eb = self._entries[a], self._entries[b]
-        return (ea[0], ea[1]) < (eb[0], eb[1])
-
-    def _swap(self, a: int, b: int) -> None:
-        ents = self._entries
-        ents[a], ents[b] = ents[b], ents[a]
-        self._index[ents[a][2]] = a
-        self._index[ents[b][2]] = b
-
-    def _sift_up(self, pos: int) -> None:
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            if self._less(pos, parent):
-                self._swap(pos, parent)
-                pos = parent
-            else:
-                break
-
-    def _sift_down(self, pos: int) -> None:
-        n = len(self._entries)
-        while True:
-            left = 2 * pos + 1
-            right = left + 1
-            smallest = pos
-            if left < n and self._less(left, smallest):
-                smallest = left
-            if right < n and self._less(right, smallest):
-                smallest = right
-            if smallest == pos:
-                break
-            self._swap(pos, smallest)
-            pos = smallest
+    def _rebuild(self) -> None:
+        """Drop every stale entry: heapify the live ones afresh."""
+        heap = list(self._live.values())
+        heapify(heap)
+        self._heap = heap
 
     def check_invariants(self) -> None:
-        """Validate heap order and index consistency (test helper)."""
-        n = len(self._entries)
-        assert len(self._index) == n, "index size mismatch"
-        for i, entry in enumerate(self._entries):
-            assert self._index[entry[2]] == i, f"index broken at {i}"
-            left, right = 2 * i + 1, 2 * i + 2
-            if left < n:
-                assert not self._less(left, i), f"heap order broken at {i}/{left}"
-            if right < n:
-                assert not self._less(right, i), f"heap order broken at {i}/{right}"
+        """Validate heap order, liveness and the size bound (test helper)."""
+        heap = self._heap
+        n = len(heap)
+        for i in range(1, n):
+            assert not heap[i] < heap[(i - 1) >> 1], f"heap order broken at {i}"
+        assert n <= 2 * len(self._live) + 32, "stale entries past the rebuild bound"
+        present = set(heap)
+        for item, entry in self._live.items():
+            assert entry[2] == item, f"live entry of {item!r} names {entry[2]!r}"
+            assert entry in present, f"live entry of {item!r} missing from heap"
 
 
 __all__ = ["AddressableHeap"]

@@ -17,9 +17,20 @@ from repro.sim.engine import simulate
 from repro.sim.trace import Trace, single_user_trace
 
 
-def assert_same_run(trace, costs, k):
-    fast = simulate(trace, AlgDiscrete(), k, costs=costs, record_events=True)
-    slow = simulate(trace, NaiveAlgDiscrete(), k, costs=costs, record_events=True)
+#: Every gradient notion; smoothed windows are powers of two, so the
+#: averaged integer-valued costs stay dyadic and exact.
+MODES = [
+    {"derivative_mode": "continuous"},
+    {"derivative_mode": "marginal"},
+    *({"derivative_mode": "smoothed", "smoothing_window": w} for w in (1, 2, 4)),
+]
+
+
+def assert_same_run(trace, costs, k, **mode):
+    fast = simulate(trace, AlgDiscrete(**mode), k, costs=costs, record_events=True)
+    slow = simulate(
+        trace, NaiveAlgDiscrete(**mode), k, costs=costs, record_events=True
+    )
     assert [(e.t, e.victim) for e in fast.events] == [
         (e.t, e.victim) for e in slow.events
     ]
@@ -69,19 +80,16 @@ class TestDifferential:
         )
         assert [e.victim for e in fast.events] == [e.victim for e in slow.events]
 
-    def test_smoothed_mode_not_in_naive(self):
-        with pytest.raises(NotImplementedError):
-            NaiveAlgDiscrete(derivative_mode="smoothed")
 
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     requests=st.lists(st.integers(0, 8), min_size=5, max_size=150),
     k=st.integers(1, 5),
     beta=st.sampled_from([1, 2, 3]),
+    mode=st.sampled_from(MODES),
 )
-def test_differential_property(requests, k, beta):
+def test_differential_property(requests, k, beta, mode):
     owners = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
     trace = Trace(np.asarray(requests), owners)
     costs = [MonomialCost(beta) for _ in range(3)]
-    assert_same_run(trace, costs, k)
+    assert_same_run(trace, costs, k, **mode)

@@ -294,14 +294,21 @@ class TestTcpFrontEnd:
             batch_detail = await ask(
                 {"op": "batch", "pages": [0, 1, 0], "detail": True}
             )
-            # JSON that is not an object, or a page int() cannot hold,
-            # gets an error reply; the connection stays open and the
-            # clock does not move.
+            # JSON that is not an object, and fields that are not
+            # integers in range, get an error reply; nothing is coerced,
+            # the connection stays open and the clock does not move.
             time_before = server.time
             not_objects = []
             for line in (
                 b"[]", b"7", b"null", b'"x"',
-                b'{"op": "batch", "pages": [1e400]}',  # int(inf) overflows
+                b'{"op": "batch", "pages": [1e400]}',
+                b'{"op": "quote", "tenant": -1}',
+                b'{"op": "quote", "tenant": true}',
+                b'{"op": "batch", "pages": {"1": 2}}',
+                b'{"op": "batch", "pages": [true, 2.7]}',
+                b'{"op": "batch", "pages": ["7"]}',
+                b'{"op": "request", "page": 39.9}',
+                b'{"op": "request", "page": "5"}',
             ):
                 writer.write(line + b"\n")
                 await writer.drain()

@@ -1,8 +1,10 @@
 """Unit and property tests for the addressable heap."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.util.heap import AddressableHeap
@@ -116,44 +118,95 @@ class TestBasics:
         assert dict(h.items()) == {"a": 1.0, "b": 2.0}
 
 
-@settings(max_examples=200, deadline=None)
+#: Op weights: key-changing updates dominate, so stale entries pile past
+#: the rebuild bound (2·len + 32) several times in one sequence;
+#: ``add_to_all`` rebuilds too, so it is rare.
+OP_WEIGHTS = {
+    "update": 100, "push_or_update": 20, "push": 8, "pop": 3, "peek": 3,
+    "remove": 5, "key_of": 5, "add_to_all": 1,
+}
+OPS = [op for op, weight in OP_WEIGHTS.items() for _ in range(weight)]
+#: Small integers make ties (FIFO by push order); -0.0 tells a stored
+#: key from an equal one.
+KEYS = [float(i) for i in range(-4, 5)] + [-0.0, 0.5, -2.25, 1e-9, 37.125]
+
+
+class _CountingHeap(AddressableHeap):
+    """Counts the rebuilds the size bound triggers."""
+
+    __slots__ = ("rebuilds",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rebuilds = 0
+
+    def _rebuild(self) -> None:
+        self.rebuilds += 1
+        super()._rebuild()
+
+    def add_to_all(self, delta: float) -> None:
+        super().add_to_all(delta)
+        self.rebuilds -= 1  # its rebuild is unconditional
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     ops=st.lists(
-        st.tuples(
-            st.sampled_from(["push", "pop", "update", "remove"]),
-            st.integers(0, 15),
-            st.floats(-100, 100, allow_nan=False),
-        ),
-        max_size=60,
+        st.tuples(st.sampled_from(OPS), st.integers(0, 7), st.sampled_from(KEYS)),
+        min_size=200,
+        max_size=400,
     )
 )
 def test_heap_matches_reference(ops):
-    """Random op sequences agree with a dict + min() reference."""
-    h = AddressableHeap()
+    """Random op sequences agree with a dict + min() reference, through
+    the lazy heap's rebuilds."""
+    h = _CountingHeap()
     ref: dict[int, float] = {}
     seq: dict[int, int] = {}
     counter = 0
+
+    def smallest():
+        want_key = min(ref.values())
+        candidates = [i for i, v in ref.items() if v == want_key]
+        return min(candidates, key=lambda i: seq[i])
+
+    def same(a, b):  # equal, and the same sign of zero
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
     for op, item, key in ops:
-        if op == "push" and item not in ref:
-            h.push(item, key)
+        if op in ("push", "push_or_update") and item not in ref:
+            getattr(h, op)(item, key)
             ref[item] = key
             seq[item] = counter
             counter += 1
         elif op == "pop" and ref:
+            want = smallest()
             got_item, got_key = h.pop()
-            want_key = min(ref.values())
-            candidates = [i for i, v in ref.items() if v == want_key]
-            want_item = min(candidates, key=lambda i: seq[i])
-            assert got_item == want_item
-            assert got_key == want_key
-            del ref[got_item]
-        elif op == "update" and item in ref:
-            h.update(item, key)
+            assert got_item == want
+            assert same(got_key, ref.pop(want))
+        elif op == "peek" and ref:
+            got_item, got_key = h.peek()
+            assert got_item == smallest()
+            assert same(got_key, ref[got_item])
+        elif op in ("update", "push_or_update") and item in ref:
+            getattr(h, op)(item, key)
             ref[item] = key
         elif op == "remove" and item in ref:
-            assert h.remove(item) == ref.pop(item)
+            assert same(h.remove(item), ref.pop(item))
+        elif op == "key_of":
+            if item in ref:
+                assert same(h.key_of(item), ref[item])
+            else:
+                with pytest.raises(KeyError):
+                    h.key_of(item)
+        elif op == "add_to_all":
+            h.add_to_all(key)
+            ref = {i: v + key for i, v in ref.items()}
         h.check_invariants()
+        assert len(h._heap) <= 2 * len(h) + 32
         assert len(h) == len(ref)
+        assert dict(h.items()) == ref
+    event(f"bound rebuilds: {min(h.rebuilds, 4)}{'+' if h.rebuilds >= 4 else ''}")
     # Drain and confirm full sorted order.
     drained = [h.pop() for _ in range(len(h))]
     assert [k for _, k in drained] == sorted(ref.values())
