@@ -76,18 +76,6 @@ INGRESS_MODES = ("auto", "hash", "rr", "tenant")
 
 PolicySpec = Union[str, Callable[..., EvictionPolicy]]
 
-_MASK64 = (1 << 64) - 1
-
-
-def _page_hash(page: int) -> int:
-    # Splitmix64 finalizer — same placement hash as repro.serve.shard,
-    # so ingress routing is stable across processes and runs.
-    x = (page + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
-
-
 class _NodeState:
     """Runtime state of one cache node (engine mechanics, stepwise)."""
 
@@ -410,7 +398,11 @@ class NetworkSim:
             return lambda page, t: only
         n = len(leaves)
         if mode == "hash":
-            return lambda page, t: leaves[_page_hash(page) % n]
+            # The serve layer's splitmix64 placement, so ingress routing
+            # is stable across processes and runs.
+            from repro.serve.shard import page_hash
+
+            return lambda page, t: leaves[page_hash(page) % n]
         if mode == "rr":
             return lambda page, t: leaves[t % n]
         # tenant-affine: every tenant enters at a fixed leaf.

@@ -443,8 +443,9 @@ def replay_verify(
     shadow = FlightRecorder(capacity=len(recorded))
     for shard in mgr.shards:
         shard.attach_flight(shadow)
-    for tup in recorded:
-        mgr.serve(int(tup[1]), int(tup[0]))
+    mgr.serve_batch(
+        [int(tup[1]) for tup in recorded], [int(tup[0]) for tup in recorded]
+    )
 
     replayed = _as_tuples(shadow, owners)
     mismatches: List[ReplayMismatch] = []

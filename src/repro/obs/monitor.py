@@ -34,9 +34,8 @@ violation).  Samples are kept so per-tenant trajectories can be
 plotted or exported after the run (:meth:`InvariantMonitor.trajectory`).
 
 :func:`watch_simulation` is the offline entry point: replay a trace
-through the serve-path cache mechanics (bit-identical to
-``simulate()`` at one shard) sampling the monitor every ``every``
-requests.
+through the serving core of a one-shard server (bit-identical to
+``simulate()``) sampling the monitor every ``every`` requests.
 """
 
 from __future__ import annotations
@@ -319,10 +318,11 @@ def watch_simulation(
 ) -> MonitoredRun:
     """Replay *trace* stepwise, sampling *monitor* every *every* requests.
 
-    Uses the serve-path :class:`~repro.serve.shard.CacheShard` (the
-    reference engine's mechanics unrolled), so hits/misses/user_misses
-    are bit-identical to ``simulate(trace, policy, k)`` while the
-    monitor observes the live policy mid-run — the property
+    Serves through a :class:`~repro.serve.shard.ShardGroup` over a
+    single shard — the serving core of a ``workers=1`` server, whose
+    mechanics are the reference engine's unrolled — so hits/misses/
+    user_misses are bit-identical to ``simulate(trace, policy, k)``
+    while the monitor observes the live policy mid-run — the property
     ``tests/test_obs_monitor.py`` enforces.
 
     Optionally feeds every request to a
@@ -334,26 +334,30 @@ def watch_simulation(
     """
     # Imported lazily: repro.serve pulls in the server, which imports
     # this module.
-    from repro.serve.shard import CacheShard
-    from repro.sim.policy import SimContext
+    from repro.serve.accounting import CostLedger
+    from repro.serve.shard import ShardGroup, ShardManager
 
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
     if monitor is None:
         monitor = InvariantMonitor(costs, tol=tol)
-    ctx = SimContext(
-        k=int(k),
-        owners=trace.owners,
-        num_users=trace.num_users,
-        costs=costs,
+    shards = ShardManager(
+        policy, 1, int(k), trace.owners, costs,
         trace=trace if getattr(policy, "requires_future", False) else None,
-        num_pages=trace.num_pages,
         horizon=trace.length,
     )
-    shard = CacheShard(0, policy, int(k), ctx)
-    owners = trace.owners.tolist()
+
+    def dump() -> None:
+        if flight is not None and flight.dump_path:
+            flight.dump_jsonl(reason="invariant-drift")
+
+    group = ShardGroup(
+        shards, CostLedger(shards.num_users, costs), monitor, every,
+        on_drift=dump,
+    )
+    owners = group.owners_list
     if flight is not None:
-        shard.attach_flight(flight, owners)
+        shards.shards[0].attach_flight(flight, owners)
         flight.note_config(
             policy=policy.name,
             k=int(k),
@@ -361,34 +365,21 @@ def watch_simulation(
             source="watch_simulation",
             trace=getattr(trace, "name", None),
         )
-    observe = auditor.observe if auditor is not None else None
-    flags_seen = len(monitor.flags)
-    user_misses = np.zeros(max(trace.num_users, 1), dtype=np.int64)
-    hits = 0
-    for t, page in enumerate(trace.requests.tolist()):
-        hit, _victim = shard.serve(page, t)
-        if hit:
-            hits += 1
-        else:
-            user_misses[owners[page]] += 1
-        if observe is not None:
-            observe(page, owners[page], hit)
-        if (t + 1) % every == 0:
-            monitor.sample(t + 1, user_misses, policies=(policy,))
-            if len(monitor.flags) > flags_seen:
-                flags_seen = len(monitor.flags)
-                if flight is not None and flight.dump_path:
-                    flight.dump_jsonl(reason="invariant-drift")
+    for t0, batch in trace.batches(every):
+        pages = batch.tolist()
+        flags = group.apply(pages, range(t0, t0 + len(pages)))
+        if auditor is not None:
+            for page, hit in zip(pages, flags):
+                auditor.observe(page, owners[page], hit)
     if trace.length % every != 0:  # final partial-interval sample
-        monitor.sample(trace.length, user_misses, policies=(policy,))
-        if len(monitor.flags) > flags_seen and flight is not None and flight.dump_path:
-            flight.dump_jsonl(reason="invariant-drift")
+        group.sample(trace.length)
     if auditor is not None:
         auditor.finalize()
+    ledger = group.ledger
     return MonitoredRun(
-        hits=hits,
-        misses=int(user_misses.sum()),
-        user_misses=user_misses,
+        hits=ledger.hits,
+        misses=ledger.misses,
+        user_misses=ledger.misses_by_user(),
         monitor=monitor,
         auditor=auditor,
     )

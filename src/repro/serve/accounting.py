@@ -16,6 +16,13 @@ including a trailing partial window), so a live ledger's window rows
 are bit-identical to the offline recomputation from a recorded miss
 curve — enforced by ``tests/test_serve_accounting.py``.  This is the
 SLA shape from the paper's motivation: "up to ~M misses per window".
+
+Every request is recorded with its global clock value and misses are
+binned by the global window index ``t // window``, so ledgers that
+each saw part of the stream — the slices kept by the processes of a
+:class:`~repro.serve.workers.ShardWorkerPool` — add up exactly:
+:meth:`CostLedger.merge` of every slice's :meth:`CostLedger.counters`
+is the ledger one process would have kept over the whole stream.
 """
 
 from __future__ import annotations
@@ -54,67 +61,76 @@ class CostLedger:
             raise ValueError(f"need {num_users} cost functions, got {len(costs)}")
         self.costs = costs
         self.window = None if window is None else check_positive_int(window, "window")
-        # Plain-int lists: the record() path runs once per served
-        # request, and list indexing beats numpy scalar updates ~5x.
+        # Plain-int lists: list indexing beats numpy scalar updates ~5x
+        # on the record() path.
         self._hits: List[int] = [0] * num_users
         self._misses: List[int] = [0] * num_users
         self._t = 0
-        self._window_rows: List[List[int]] = []
-        self._current_window: List[int] = [0] * num_users
-
-    @classmethod
-    def from_counters(
-        cls,
-        num_users: int,
-        costs: Optional[Sequence[CostFunction]] = None,
-        window: Optional[int] = None,
-        *,
-        hits: Sequence[int],
-        misses: Sequence[int],
-        total_requests: int,
-        window_bins: Optional[Dict[int, Sequence[int]]] = None,
-    ) -> "CostLedger":
-        """Rebuild a ledger from externally-accumulated counters.
-
-        The merge path for process-parallel serving: each
-        :class:`~repro.serve.workers.ShardWorkerPool` worker accounts
-        its own requests (hit/miss lists plus per-window miss bins
-        keyed by the *global* window index ``t // window``), and the
-        scrape side sums them and rebuilds a ledger here — so every
-        accessor, including :meth:`windowed_miss_counts`, returns
-        exactly what a single live ledger over the merged stream would
-        (windows with no misses become explicit zero rows, as
-        :meth:`record` would have produced).
-        """
-        ledger = cls(num_users, costs, window=window)
-        ledger._hits = [int(h) for h in hits]
-        ledger._misses = [int(m) for m in misses]
-        ledger._t = int(total_requests)
-        if window is not None:
-            bins = {int(w): [int(v) for v in row]
-                    for w, row in (window_bins or {}).items()}
-            full = ledger._t // window
-            ledger._window_rows = [
-                bins.get(w, [0] * num_users) for w in range(full)
-            ]
-            ledger._current_window = bins.get(full, [0] * num_users)
-        return ledger
+        #: Per-tenant misses keyed by the global window index t // window.
+        self._bins: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
-    # Recording (the server's per-request hot path)
+    # Recording (the server's hot path)
     # ------------------------------------------------------------------
-    def record(self, tenant: int, hit: bool) -> None:
-        """Account one served request for *tenant*."""
-        if hit:
-            self._hits[tenant] += 1
+    def record(
+        self, tenants: Sequence[int], hits: Sequence[object], ts: Sequence[int]
+    ) -> None:
+        """Account one batch of served requests: request *i* was
+        *tenants[i]*'s, served at global time *ts[i]*, and hit when
+        *hits[i]* is true.  *ts* is read only by a windowed ledger."""
+        h = self._hits
+        m = self._misses
+        window = self.window
+        if window is None:
+            for tenant, hit in zip(tenants, hits):
+                if hit:
+                    h[tenant] += 1
+                else:
+                    m[tenant] += 1
         else:
-            self._misses[tenant] += 1
-            if self.window is not None:
-                self._current_window[tenant] += 1
-        self._t += 1
-        if self.window is not None and self._t % self.window == 0:
-            self._window_rows.append(self._current_window)
-            self._current_window = [0] * self.num_users
+            bins = self._bins
+            for tenant, hit, t in zip(tenants, hits, ts):
+                if hit:
+                    h[tenant] += 1
+                else:
+                    m[tenant] += 1
+                    row = bins.get(t // window)
+                    if row is None:
+                        row = bins[t // window] = [0] * self.num_users
+                    row[tenant] += 1
+        self._t += len(tenants)
+
+    def counters(self) -> Dict[str, object]:
+        """The ledger's counts as plain data (picklable: the cost
+        functions stay behind), for :meth:`merge` in another process."""
+        return {
+            "window": self.window,
+            "hits": list(self._hits),
+            "misses": list(self._misses),
+            "requests": self._t,
+            "bins": {w: list(row) for w, row in self._bins.items()},
+        }
+
+    def merge(self, counters: Dict[str, object]) -> None:
+        """Add another ledger's :meth:`counters` into this one.
+
+        Merging the slices of a partition of the request stream gives
+        exactly the ledger that recorded the whole stream, window rows
+        included, because misses are binned by global time."""
+        if counters["window"] != self.window:
+            raise ValueError(
+                f"cannot merge window={counters['window']} counters into "
+                f"a window={self.window} ledger"
+            )
+        for i, v in enumerate(counters["hits"]):
+            self._hits[i] += v
+        for i, v in enumerate(counters["misses"]):
+            self._misses[i] += v
+        self._t += counters["requests"]
+        for w, row in counters["bins"].items():
+            tgt = self._bins.setdefault(w, [0] * self.num_users)
+            for i, v in enumerate(row):
+                tgt[i] += v
 
     # ------------------------------------------------------------------
     # Counters
@@ -180,12 +196,11 @@ class CostLedger:
         """
         if self.window is None:
             raise ValueError("ledger was created without a window")
-        rows = list(self._window_rows)
-        if self._t % self.window != 0:
-            rows.append(self._current_window)
-        if not rows:
-            return np.zeros((0, self.num_users), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64)
+        n_rows = max(-(-self._t // self.window), max(self._bins, default=-1) + 1)
+        out = np.zeros((n_rows, self.num_users), dtype=np.int64)
+        for w, row in self._bins.items():
+            out[w] = row
+        return out
 
     def windowed_cost(self) -> float:
         """:math:`\\sum_w \\sum_i f_i(\\text{misses}_i\\text{ in }w)`."""

@@ -37,6 +37,7 @@ import json
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from time import monotonic, perf_counter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +49,7 @@ from repro.obs.distrib import emit_span
 from repro.obs.registry import CollectedFamily
 from repro.obs.timeline import Timeline
 from repro.serve.accounting import CostLedger
-from repro.serve.shard import PolicySpec, ShardManager
+from repro.serve.shard import PolicySpec, ShardGroup, ShardManager
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
 
@@ -183,17 +184,18 @@ class CacheServer:
         Passed through to :class:`ShardManager`.
     workers:
         OS processes serving the shard set (clamped to ``num_shards``).
-        The default ``1`` serves in-process; with ``W > 1`` a
-        :class:`~repro.serve.workers.ShardWorkerPool` is started
-        alongside the consumer — shard *s* lives in worker ``s % W``,
-        the consumer routes each submission with the same splitmix64
-        hash in one framed pipe exchange per worker and merges the
+        The default ``1`` serves in-process through one
+        :class:`~repro.serve.shard.ShardGroup` over :attr:`shards`;
+        with ``W > 1`` a :class:`~repro.serve.workers.ShardWorkerPool`
+        is started alongside the consumer — shard *s* lives in worker
+        ``s % W``, which serves it through a group of its own, and the
+        consumer routes each submission with the same splitmix64
+        placement in one framed pipe exchange per worker and merges the
         replies back into submission order.  Either way one consumer
         path builds the outcomes, so backpressure and drain semantics
         are the same and results are bit-identical for any ``W`` (the
         global clock is assigned before routing).  Scrape paths merge
-        the workers' ledgers/registries, keeping ``stats``/``metrics``
-        exact.
+        the workers' ledgers, keeping ``stats``/``metrics`` exact.
     obs:
         Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults
         to a fresh, env-gated bundle per server so collector metric
@@ -272,11 +274,7 @@ class CacheServer:
         self._costs = costs
         self._pool = None
         self._pool_final: Optional[Dict[str, object]] = None
-        #: Serves one submission; :meth:`start` picks it.
-        self._backend = self._apply_local
-        self.ledger = CostLedger(self.shards.num_users, costs, window=window)
         self.owners = self.shards.owners
-        self._owners_list: List[int] = self.owners.tolist()
         self._queue_limit = check_positive_int(queue_limit, "queue_limit")
         self._tenant_inflight = (
             None
@@ -309,11 +307,7 @@ class CacheServer:
         reg = self.obs.registry
         self._metrics_on = reg.enabled
         self._tracing_on = self.obs.tracer.enabled
-        self._obs_active = (
-            self._metrics_on
-            or self._tracing_on
-            or (self.obs.monitor is not None and monitor_every > 0)
-        )
+        self._obs_active = self._metrics_on or self._tracing_on
         # Latency histograms cover the pipeline stages: queue wait
         # (enqueue -> consumer pickup) and apply (shard dispatch +
         # policy decisions for one submission).  NULL_METRIC when off.
@@ -331,10 +325,19 @@ class CacheServer:
         # REPRO_OBS=off.
         reg.register_collector(self._collect_metrics)
         self._rates = RateWindow()
-        if monitor_every < 0:
-            raise ValueError(f"monitor_every must be >= 0, got {monitor_every}")
+        #: The in-process serving core (idle at ``workers > 1``, where
+        #: every worker runs its own): it samples ``obs.monitor`` every
+        #: *monitor_every* requests and auto-dumps the flight ring on a
+        #: new drift flag.
+        self._group = ShardGroup(
+            self.shards,
+            CostLedger(self.shards.num_users, costs, window=window),
+            self.obs.monitor,
+            monitor_every,
+            on_drift=partial(self._auto_dump, "invariant-drift"),
+        )
+        self._owners_list = self._group.owners_list
         self._monitor_every = monitor_every
-        self._since_monitor = 0
         self._monitor_flags_seen = 0
         # Decision-level observability: the flight recorder attaches to
         # every shard (one tuple append per request); the auditor gets
@@ -435,9 +438,6 @@ class CacheServer:
                 ),
                 profile=self._profile,
             )
-        self._backend = (
-            self._apply_local if self._pool is None else self._apply_pool
-        )
         if self._profile is not None and self.profiler is None:
             from repro.obs.prof import DEFAULT_INTERVAL, SamplingProfiler
 
@@ -714,12 +714,13 @@ class CacheServer:
     def _process(self, item: _Item) -> None:
         """Apply one submission, at any worker count.
 
-        The back-end picked by :meth:`start` serves the batch with the
-        global clock assigned up front; everything after it — auditor,
-        outcome building, trace spans, telemetry, credit release, and
-        future completion — runs once per submission, the same way for
-        both back-ends.  The auditor consumes ``(page, tenant, hit)``
-        in submission order, so observing after the batch is exact."""
+        The in-process group, or the worker pool whose workers run the
+        same group code, serves the batch with the global clock
+        assigned up front; everything after it — auditor, outcome
+        building, trace spans, telemetry, credit release, and future
+        completion — runs once per submission, the same way at any
+        ``W``.  The auditor consumes ``(page, tenant, hit)`` in
+        submission order, so observing after the batch is exact."""
         pages, fut, detail, credits, t_enq = item
         obs_on = self._obs_active
         if obs_on:
@@ -739,7 +740,15 @@ class CacheServer:
             trace_id = t0 + 1
             root_span = next(self.obs.tracer._ids)
             t_route = perf_counter()
-        served = self._backend(pages, t0, detail, trace_id, root_span)
+        pool = self._pool
+        if pool is None:
+            served = self._group.apply(pages, range(t0, t0 + len(pages)), detail)
+        elif detail:
+            served = pool.apply_detail(np.asarray(pages, dtype=np.int64), t0)
+        else:
+            served = pool.apply(
+                np.asarray(pages, dtype=np.int64), t0, trace_id, root_span
+            ).astype(bool).tolist()
         self._t = t0 + len(pages)
         owners = self._owners_list
         result: object
@@ -788,48 +797,6 @@ class CacheServer:
         if not fut.cancelled():
             fut.set_result(result)
 
-    def _apply_local(
-        self,
-        pages: Sequence[int],
-        t0: int,
-        detail: bool,
-        trace_id: int,
-        parent: int,
-    ) -> list:
-        """In-process back-end: one ``ShardManager.serve`` and one
-        ``CostLedger.record`` per request, in submission order.  Returns
-        the hit flags, or ``(hit, victim, shard)`` per request for a
-        *detail* submission.  No trace context: there is no worker to
-        carry it to."""
-        serve = self.shards.serve
-        record = self.ledger.record
-        owners = self._owners_list
-        out: list = []
-        append = out.append
-        for t, page in enumerate(pages, t0):
-            served = serve(page, t)
-            record(owners[page], served[0])
-            append(served if detail else served[0])
-        return out
-
-    def _apply_pool(
-        self,
-        pages: Sequence[int],
-        t0: int,
-        detail: bool,
-        trace_id: int,
-        parent: int,
-    ) -> list:
-        """Worker-pool back-end: route the submission across the shard
-        workers, which keep the per-tenant accounting; same return
-        shapes as :meth:`_apply_local`."""
-        pool = self._pool
-        assert pool is not None
-        pages_arr = np.asarray(pages, dtype=np.int64)
-        if detail:
-            return pool.apply_detail(pages_arr, t0)
-        return pool.apply(pages_arr, t0, trace_id, parent).astype(bool).tolist()
-
     def _account(
         self, n: int, t_enq: float, t_start: float, traced: bool
     ) -> None:
@@ -844,41 +811,27 @@ class CacheServer:
             tracer = self.obs.tracer
             tracer.record_span("serve.queue_wait", queue_wait, n=n)
             tracer.record_span("serve.apply", dur, n=n, t=self._t)
-        # In parallel mode the workers sample their own monitors against
-        # their own policy instances (budget invariants are per-instance,
-        # so worker-local sampling is sound); drift is checked at
-        # gather time in _pool_snapshot.
-        monitor = self.obs.monitor if self._pool is None else None
-        if monitor is not None and self._monitor_every:
-            self._since_monitor += n
-            if self._since_monitor >= self._monitor_every:
-                self._since_monitor = 0
-                monitor.sample(
-                    self._t,
-                    self.ledger.misses_by_user(),
-                    policies=[s.policy for s in self.shards.shards],
-                )
-                if len(monitor.flags) > self._monitor_flags_seen:
-                    self._monitor_flags_seen = len(monitor.flags)
-                    self._auto_dump("invariant-drift")
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
     async def _timeline_loop(self) -> None:
         """Tick ``obs.timeline`` on the event loop: one registry
-        snapshot per interval, zero per-request work."""
+        snapshot per interval, zero per-request work.  The first
+        snapshot is taken at start, so a counter that moves within the
+        first interval (a worker crash during a short replay) has a
+        baseline to move from."""
         import time as _time
 
         timeline = self.obs.timeline
         assert timeline is not None
         while True:
-            await asyncio.sleep(timeline.interval)
             ts = _time.time()
             if timeline.snap(self.obs.registry, ts) and self.alerts is not None:
                 # Alert rules read the snapshot that just landed — the
                 # whole alerting pipeline rides this one timer.
                 self.alerts.evaluate(ts)  # type: ignore[attr-defined]
+            await asyncio.sleep(timeline.interval)
 
     def profile_folded(self) -> Dict[str, Dict[str, int]]:
         """Per-process folded stacks: ``{"parent": ..., "w0": ...}``.
@@ -902,7 +855,7 @@ class CacheServer:
         """Gather-and-merge the workers' ground truth (cached as the
         final state once the pool is gone).  Worker-side invariant
         drift is detected here — the parallel counterpart of the
-        in-process post-sample check in :meth:`_account`."""
+        in-process group's post-sample ``on_drift`` check."""
         pool = self._pool
         if pool is None:
             return self._pool_final
@@ -920,52 +873,29 @@ class CacheServer:
 
     def _serve_view(self):
         """Ground truth for every scrape path, as
-        ``(ledger, shard_rows, monitor_counts)``.
-
-        In-process mode reads the live ledger/shards directly; parallel
-        mode gathers the workers' slices and rebuilds a merged ledger
-        (via :meth:`CostLedger.from_counters`) plus merged shard rows,
-        so both modes feed the same rendering code and emit the same
-        document shapes.
-        """
-        # Best effort: a scrape must keep answering (with the
-        # survivors' truth) even after a worker crash.
-        snap = (
-            self._pool_snapshot(best_effort=True) if self.workers > 1 else None
-        )
-        if snap is None:
-            rows = [
-                {
-                    "shard": s.shard_id,
-                    "occupancy": s.occupancy,
-                    "slots": s.slots,
-                    "evictions": s.evictions,
-                    "timing": list(s.timing) if s.timing is not None else None,
-                }
-                for s in self.shards.shards
-            ]
-            monitor = self.obs.monitor
-            counts = (
-                (len(monitor.flags), len(monitor.samples))
-                if monitor is not None
-                else None
-            )
-            return self.ledger, rows, counts
-        ledger = CostLedger.from_counters(
-            self.shards.num_users,
-            self._costs,
-            self._window,
-            hits=snap["hits"],
-            misses=snap["misses"],
-            total_requests=snap["served"],
-            window_bins=snap["window_bins"],
-        )
+        ``(ledger, shard_rows, monitor_counts)``: a group snapshot —
+        the in-process group's live one, or at ``W > 1`` the workers'
+        snapshots merged (best effort: a scrape must keep answering,
+        with the survivors' truth, even after a worker crash) — so one
+        rendering path emits the same document shapes at any ``W``."""
+        view = self._pool_snapshot(best_effort=True) if self.workers > 1 else None
+        if view is None:
+            view = self._group.snapshot()
         counts = (
-            (int(snap["monitor_flags"]), int(snap["monitor_samples"]))
+            (int(view["monitor_flags"]), int(view["monitor_samples"]))
             if self.obs.monitor is not None
             else None
         )
-        return ledger, snap["shards"], counts
+        return view["ledger"], view["shards"], counts
+
+    @property
+    def ledger(self) -> CostLedger:
+        """Per-tenant accounting.  At ``workers=1`` this is the live
+        ledger the in-process group records into; at ``W > 1`` it is
+        the workers' slices merged — a scrape-path gather costing one
+        control exchange per worker — and after :meth:`stop` the final
+        gathered view."""
+        return self._serve_view()[0]
 
     def _collect_metrics(self) -> List[CollectedFamily]:
         """Scrape-time export of ground-truth serve state.
@@ -1404,7 +1334,7 @@ class CacheServer:
                     raise ValueError(
                         f"tenant {tenant} outside [0, {self.shards.num_users})"
                     )
-                ledger = self._serve_view()[0]
+                ledger = self.ledger
                 return {
                     "ok": True,
                     "tenant": tenant,

@@ -7,7 +7,10 @@ from a live stream instead of a pre-materialized
 :class:`~repro.sim.trace.Trace`.  A :class:`ShardManager` hash-
 partitions the page universe across ``S`` independent shards, each
 owning a private policy instance and ``k/S`` slots, so victim choices
-never cross shard boundaries and per-shard state stays small.
+never cross shard boundaries and per-shard state stays small.  A
+:class:`ShardGroup` is what one process serves with: a manager over
+the shards that process owns, a :class:`~repro.serve.accounting.
+CostLedger` slice, and an optional invariant monitor.
 
 Determinism contract (enforced by ``tests/test_serve_equivalence.py``):
 with ``num_shards=1`` the manager IS the reference engine — same
@@ -21,19 +24,22 @@ SimContext`.  Stochastic policies are seeded per shard as
 Pages are assigned to shards by a splitmix64-style integer hash (not
 ``page % S``): workload builders allocate tenants contiguous page
 ranges, and a modulo split would alias tenant locality into shard
-imbalance.
+imbalance.  The hash is evaluated once per page of the universe
+(:func:`shard_table`), never per request.
 """
 
 from __future__ import annotations
 
 import inspect
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.cost_functions import CostFunction
 from repro.obs.flight import FlightRecorder, has_budget_probe, record_miss
+from repro.obs.monitor import InvariantMonitor
+from repro.serve.accounting import CostLedger
 from repro.sim.policy import EvictionPolicy, SimContext
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
@@ -69,6 +75,19 @@ def page_hash_array(pages: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def shard_table(num_pages: int, num_shards: int) -> np.ndarray:
+    """Shard id of every page in ``[0, num_pages)``: the placement
+    ``page_hash(page) % num_shards`` as one ``int64`` array.
+
+    The one placement table: :class:`ShardManager` routes through it
+    and :class:`~repro.serve.workers.ShardWorkerPool` derives its
+    page → worker table from it, so both always agree."""
+    if num_shards == 1:
+        return np.zeros(num_pages, dtype=np.int64)
+    hashed = page_hash_array(np.arange(num_pages, dtype=np.int64))
+    return (hashed % np.uint64(num_shards)).astype(np.int64)
+
+
 def shard_slots(k: int, num_shards: int) -> List[int]:
     """Per-shard slot allocation: ``k // S`` each, the ``k % S``
     remainder going to low shard ids first (sums to ``k``)."""
@@ -93,43 +112,6 @@ def make_policy_instance(
         if "rng" in params:
             return factory(rng=seed)
     return factory()
-
-
-def build_policy_instances(
-    policy: PolicySpec, num_shards: int, policy_seed: Optional[int]
-) -> List[EvictionPolicy]:
-    """One policy instance per shard from a spec (name/factory/instance).
-
-    Shared by :class:`ShardManager` and the process-parallel
-    :class:`~repro.serve.workers.ShardWorkerPool` workers, so both
-    paths build byte-identical instances: shard *i* of a stochastic
-    policy always draws from ``rng=policy_seed + i``.
-    """
-    if isinstance(policy, EvictionPolicy):
-        if num_shards != 1:
-            raise ValueError(
-                "a pre-built policy instance cannot be shared across shards; "
-                "pass a name or factory for num_shards > 1"
-            )
-        return [policy]
-    if isinstance(policy, str):
-        from repro.policies import POLICY_REGISTRY
-
-        try:
-            factory: Callable[..., EvictionPolicy] = POLICY_REGISTRY[policy]
-        except KeyError:
-            known = ", ".join(sorted(POLICY_REGISTRY))
-            raise KeyError(
-                f"unknown policy {policy!r}; known: {known}"
-            ) from None
-    else:
-        factory = policy
-    return [
-        make_policy_instance(
-            factory, None if policy_seed is None else policy_seed + sid
-        )
-        for sid in range(num_shards)
-    ]
 
 
 class CacheShard:
@@ -315,6 +297,11 @@ class ShardManager:
         pass the trace length when replaying.
     validate:
         Check victims are resident (disable in throughput benchmarks).
+    shard_ids:
+        The shards to build, in order (default: all ``S``).  A
+        :class:`~repro.serve.workers.ShardWorkerPool` worker builds
+        only the shards it owns; pages placed on any other shard must
+        not be served here.
     """
 
     def __init__(
@@ -329,6 +316,7 @@ class ShardManager:
         trace: Optional[Trace] = None,
         horizon: int = 0,
         validate: bool = True,
+        shard_ids: Optional[Sequence[int]] = None,
     ) -> None:
         self.num_shards = check_positive_int(num_shards, "num_shards")
         self.k = check_positive_int(k, "k")
@@ -343,6 +331,16 @@ class ShardManager:
         self.num_pages = int(owners.size)
         self.num_users = int(owners.max()) + 1
         self.costs = costs
+        ids = range(self.num_shards) if shard_ids is None else shard_ids
+        self.shard_ids: Tuple[int, ...] = tuple(int(sid) for sid in ids)
+        if not self.shard_ids or not (
+            len(set(self.shard_ids)) == len(self.shard_ids)
+            and all(0 <= sid < self.num_shards for sid in self.shard_ids)
+        ):
+            raise ValueError(
+                f"shard_ids must be distinct ids in [0, {self.num_shards}), "
+                f"got {shard_ids}"
+            )
 
         instances = self._build_instances(policy, policy_seed)
         self.policy_name = instances[0].name
@@ -364,7 +362,7 @@ class ShardManager:
 
         slots = shard_slots(self.k, self.num_shards)
         self.shards: List[CacheShard] = []
-        for sid, inst in enumerate(instances):
+        for sid, inst in zip(self.shard_ids, instances):
             ctx = SimContext(
                 k=slots[sid],
                 owners=owners,
@@ -377,26 +375,69 @@ class ShardManager:
             self.shards.append(
                 CacheShard(sid, inst, ctx.k, ctx, validate=validate)
             )
+        #: page → shard id over the whole universe.
+        self._table = shard_table(self.num_pages, self.num_shards)
+        #: page → the built :class:`CacheShard` serving it (``None`` for
+        #: pages of shards this manager did not build).
+        by_id = {shard.shard_id: shard for shard in self.shards}
+        self._route: List[Optional[CacheShard]] = (
+            [self.shards[0]] * self.num_pages
+            if self.num_shards == 1
+            else [by_id.get(sid) for sid in self._table.tolist()]
+        )
 
     def _build_instances(
         self, policy: PolicySpec, policy_seed: Optional[int]
     ) -> List[EvictionPolicy]:
-        return build_policy_instances(policy, self.num_shards, policy_seed)
+        """One policy instance per built shard: shard *i* of a stochastic
+        policy draws from ``rng=policy_seed + i`` whichever process
+        builds it."""
+        if isinstance(policy, EvictionPolicy):
+            if self.num_shards != 1:
+                raise ValueError(
+                    "a pre-built policy instance cannot be shared across "
+                    "shards; pass a name or factory for num_shards > 1"
+                )
+            return [policy]
+        if isinstance(policy, str):
+            from repro.policies import POLICY_REGISTRY
+
+            try:
+                factory: Callable[..., EvictionPolicy] = POLICY_REGISTRY[policy]
+            except KeyError:
+                known = ", ".join(sorted(POLICY_REGISTRY))
+                raise KeyError(
+                    f"unknown policy {policy!r}; known: {known}"
+                ) from None
+        else:
+            factory = policy
+        return [
+            make_policy_instance(
+                factory, None if policy_seed is None else policy_seed + sid
+            )
+            for sid in self.shard_ids
+        ]
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
     def shard_of(self, page: int) -> int:
-        """Shard id owning *page* (stable splitmix64 hash)."""
-        if self.num_shards == 1:
-            return 0
-        return page_hash(page) % self.num_shards
+        """Shard id owning *page* (stable splitmix64 placement)."""
+        return int(self._table[page])
 
     def serve(self, page: int, t: int) -> Tuple[bool, Optional[int], int]:
         """Route one request; returns ``(hit, victim, shard_id)``."""
-        sid = self.shard_of(page)
-        hit, victim = self.shards[sid].serve(page, t)
-        return hit, victim, sid
+        shard = self._route[page]
+        hit, victim = shard.serve(page, t)
+        return hit, victim, shard.shard_id
+
+    def serve_batch(self, pages: Sequence[int], ts: Sequence[int]) -> List[bool]:
+        """Serve ``pages[i]`` at global time ``ts[i]``, in order; returns
+        the hit flags.  The batched form of :meth:`serve`: one list
+        lookup per request routes it, and no per-request tuple is
+        built beyond the shard's own."""
+        route = self._route
+        return [route[p].serve(p, t)[0] for p, t in zip(pages, ts)]
 
     def reset(self) -> None:
         for shard in self.shards:
@@ -406,11 +447,12 @@ class ShardManager:
     # Introspection
     # ------------------------------------------------------------------
     def occupancy(self) -> List[int]:
-        """Resident pages per shard."""
+        """Resident pages per built shard."""
         return [shard.occupancy for shard in self.shards]
 
     def capacities(self) -> List[int]:
-        """Slot allocation per shard (sums to ``k``)."""
+        """Slot allocation per built shard (sums to ``k`` when every
+        shard is built)."""
         return [shard.slots for shard in self.shards]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -420,12 +462,119 @@ class ShardManager:
         )
 
 
+class ShardGroup:
+    """The serving core of one process: a :class:`ShardManager` over the
+    shards it owns, a :class:`~repro.serve.accounting.CostLedger` slice,
+    and an optional invariant monitor.
+
+    Every serving back-end runs one: :class:`~repro.serve.server.
+    CacheServer` at ``workers=1`` over its own shards and ledger, each
+    :class:`~repro.serve.workers.ShardWorkerPool` worker over the
+    shards it owns, and :func:`repro.obs.monitor.watch_simulation` over
+    a single shard.  Requests carry their global clock value, so the
+    ledger slices of a partition of the shards merge exactly
+    (:meth:`~repro.serve.accounting.CostLedger.merge`).
+
+    Parameters
+    ----------
+    shards:
+        The manager to serve through.
+    ledger:
+        The accounting slice; sized for every tenant.
+    monitor:
+        :class:`~repro.obs.monitor.InvariantMonitor` sampled against
+        ``shards``' policies every *monitor_every* served requests
+        (``0``: never sampled, only reported by :meth:`snapshot`).
+    on_drift:
+        Called after a sample that raised a new drift flag (the server
+        auto-dumps its flight ring from here).
+    """
+
+    def __init__(
+        self,
+        shards: ShardManager,
+        ledger: CostLedger,
+        monitor: Optional[InvariantMonitor] = None,
+        monitor_every: int = 0,
+        on_drift: Optional[Callable[[], None]] = None,
+    ) -> None:
+        if monitor_every < 0:
+            raise ValueError(f"monitor_every must be >= 0, got {monitor_every}")
+        self.shards = shards
+        self.ledger = ledger
+        self.monitor = monitor
+        self.on_drift = on_drift
+        #: ``owners.tolist()``, shared with the shards' flight recorders.
+        self.owners_list: List[int] = shards.owners.tolist()
+        self._policies = [shard.policy for shard in shards.shards]
+        #: Requests between monitor samples (0: never sample).
+        self._sample_every = monitor_every if monitor is not None else 0
+        self._since_sample = 0
+        self._flags_seen = 0 if monitor is None else len(monitor.flags)
+
+    def apply(
+        self, pages: Sequence[int], ts: Sequence[int], detail: bool = False
+    ) -> list:
+        """Serve one routed batch: ``pages[i]`` at global time ``ts[i]``.
+
+        One batched call into the shards and one batched
+        :meth:`~repro.serve.accounting.CostLedger.record`.  Returns the
+        hit flags, or ``(hit, victim, shard_id)`` per request when
+        *detail* is set."""
+        shards = self.shards
+        if detail:
+            served = [shards.serve(p, t) for p, t in zip(pages, ts)]
+            flags = [row[0] for row in served]
+        else:
+            served = flags = shards.serve_batch(pages, ts)
+        owners = self.owners_list
+        self.ledger.record([owners[p] for p in pages], flags, ts)
+        if self._sample_every and flags:
+            self._since_sample += len(flags)
+            if self._since_sample >= self._sample_every:
+                self._since_sample = 0
+                self.sample(ts[-1] + 1)
+        return served
+
+    def sample(self, t: int) -> None:
+        """Sample the monitor at global time *t*; calls ``on_drift`` when
+        the sample raised a new flag."""
+        monitor = self.monitor
+        monitor.sample(t, self.ledger.misses_by_user(), policies=self._policies)
+        flags = len(monitor.flags)
+        if flags > self._flags_seen:
+            self._flags_seen = flags
+            if self.on_drift is not None:
+                self.on_drift()
+
+    def snapshot(self) -> Dict[str, object]:
+        """Ground truth for the scrape paths: the live ledger, one row
+        per shard, and the monitor's flag and sample counts."""
+        monitor = self.monitor
+        return {
+            "ledger": self.ledger,
+            "shards": [
+                {
+                    "shard": s.shard_id,
+                    "occupancy": s.occupancy,
+                    "slots": s.slots,
+                    "evictions": s.evictions,
+                    "timing": list(s.timing) if s.timing is not None else None,
+                }
+                for s in self.shards.shards
+            ],
+            "monitor_flags": 0 if monitor is None else len(monitor.flags),
+            "monitor_samples": 0 if monitor is None else len(monitor.samples),
+        }
+
+
 __all__ = [
     "CacheShard",
+    "ShardGroup",
     "ShardManager",
-    "build_policy_instances",
     "page_hash",
     "page_hash_array",
     "make_policy_instance",
     "shard_slots",
+    "shard_table",
 ]

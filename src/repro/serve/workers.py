@@ -5,10 +5,12 @@ request sequentially, so the S-way page→shard split of
 :class:`~repro.serve.shard.ShardManager` never uses more than one
 core.  :class:`ShardWorkerPool` lifts the same shard set onto ``W``
 OS processes: shard ``s`` is owned by worker ``s % W``, and each
-worker holds its shard group's **policy instances**, a **ledger
-slice** (per-tenant hit/miss counters plus global-window miss bins),
-an optional **flight recorder**, **invariant monitor**, and the
-per-shard decision timers the metrics scrape reads.
+worker serves through a :class:`~repro.serve.shard.ShardGroup` — the
+same serving core an in-process server runs — over just the shards it
+owns: their **policy instances** and per-shard decision timers, a
+:class:`~repro.serve.accounting.CostLedger` **slice**, and an
+optional **invariant monitor**.  Only the **flight recorder**, span
+spill and profiler are the worker's own.
 
 Determinism is by construction, not by luck: the ingress side assigns
 every request its **global clock value** ``t`` before routing, and a
@@ -18,7 +20,7 @@ would see in-process, and serving results are bit-for-bit independent
 of ``W`` (test-enforced by ``tests/test_serve_equivalence.py``).
 
 Routing is batched and buffer-flat.  A precomputed page→worker table
-(the vectorized splitmix64 hash of the whole page universe) splits a
+(:func:`~repro.serve.shard.shard_table` modulo ``W``) splits a
 submission into per-worker position/page arrays, and each worker
 receives **one frame per batch** on its duplex pipe — never one pickle
 per request, and on the data path never a pickle at all.  Every message
@@ -44,13 +46,15 @@ frames larger than the socket buffer cannot deadlock the parent's
 send-to-all-then-receive-from-all exchange.
 
 Scrape-time merging mirrors the in-process design ("exactness via
-scrape-time collectors", DESIGN.md): workers report ground truth —
-ledger slices, shard occupancy/evictions, decision timers, monitor
-flags — and :meth:`ShardWorkerPool.snapshot` merges them into the
-same document shapes the local path produces, so ``stats`` /
-``metrics`` / ``audit`` output is schema-identical at any ``W``.
-Windowed SLA rows stay exact because workers bin misses by the
-*global* window index ``t // window`` and the merge sums bins.
+scrape-time collectors", DESIGN.md): each worker reports its group's
+:meth:`~repro.serve.shard.ShardGroup.snapshot` — ledger counters,
+shard occupancy/evictions, decision timers, monitor counts — and
+:meth:`ShardWorkerPool.snapshot` merges them into the document an
+in-process group produces (one :meth:`~repro.serve.accounting.
+CostLedger.merge` per worker), so ``stats`` / ``metrics`` / ``audit``
+output is schema-identical at any ``W``.  Windowed SLA rows stay exact
+because every ledger bins misses by the *global* window index
+``t // window``.
 
 Worker death is detected, not hung on: every reply wait polls the
 pipe with a bounded timeout and checks the process, raising
@@ -71,15 +75,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cost_functions import CostFunction
+from repro.serve.accounting import CostLedger
 from repro.serve.server import ServerClosed
-from repro.serve.shard import (
-    CacheShard,
-    PolicySpec,
-    build_policy_instances,
-    page_hash_array,
-    shard_slots,
-)
-from repro.sim.policy import SimContext
+from repro.serve.shard import PolicySpec, ShardGroup, ShardManager, shard_table
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
 
@@ -121,7 +119,6 @@ class WorkerSpec:
     horizon: int
     validate: bool
     window: Optional[int]
-    num_users: int
     timing: bool = False
     flight_capacity: int = 0
     flight_meta: Dict[str, object] = field(default_factory=dict)
@@ -135,64 +132,44 @@ class WorkerSpec:
 
 
 class _WorkerState:
-    """The per-process serving state (lives only inside a worker)."""
+    """The per-process serving state (lives only inside a worker): a
+    :class:`~repro.serve.shard.ShardGroup` over the worker's shards,
+    plus what only a worker process has — its flight ring, span spill
+    and profiler."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
-        owners = spec.owners
-        num_pages = int(owners.size)
-        instances = build_policy_instances(
-            spec.policy, spec.num_shards, spec.policy_seed
+        # Misconfiguration raises here and reaches the parent through
+        # the construction handshake, not as a dead worker.
+        shards = ShardManager(
+            spec.policy,
+            spec.num_shards,
+            spec.k,
+            spec.owners,
+            spec.costs,
+            policy_seed=spec.policy_seed,
+            trace=spec.trace,
+            horizon=spec.horizon,
+            validate=spec.validate,
+            shard_ids=spec.shard_ids,
         )
-        # Mirror ShardManager's spec validation so misconfiguration is
-        # reported through the construction handshake, not a dead worker.
-        if instances[0].requires_costs and spec.costs is None:
-            raise ValueError(f"{instances[0].name} requires cost functions")
-        if instances[0].requires_future:
-            if spec.trace is None:
-                raise ValueError(
-                    f"{instances[0].name} requires the full trace "
-                    f"(offline policy)"
-                )
-            if spec.num_shards != 1:
-                raise ValueError(
-                    "offline (requires_future) policies only serve with "
-                    "num_shards=1"
-                )
-        slots = shard_slots(spec.k, spec.num_shards)
-        self.owners_list: List[int] = owners.tolist()
-        self.shards: Dict[int, CacheShard] = {}
-        for sid in spec.shard_ids:
-            inst = instances[sid]
-            ctx = SimContext(
-                k=slots[sid],
-                owners=owners,
-                num_users=spec.num_users,
-                costs=spec.costs,
-                trace=spec.trace if inst.requires_future else None,
-                num_pages=num_pages,
-                horizon=spec.horizon,
-            )
-            shard = CacheShard(sid, inst, slots[sid], ctx, validate=spec.validate)
-            if spec.timing:
+        if spec.timing:
+            for shard in shards.shards:
                 shard.timing = [0.0, 0]
-            self.shards[sid] = shard
-        #: page → shard id over the whole universe (vectorized hash,
-        #: identical to ``ShardManager.shard_of`` by construction).
-        if spec.num_shards == 1:
-            self.shard_table = np.zeros(num_pages, dtype=np.int64)
-        else:
-            self.shard_table = (
-                page_hash_array(np.arange(num_pages, dtype=np.int64))
-                % np.uint64(spec.num_shards)
-            ).astype(np.int64)
-        # Ledger slice: plain lists (the in-process CostLedger idiom),
-        # plus global-window miss bins keyed by t // window.
-        n = spec.num_users
-        self.hits: List[int] = [0] * n
-        self.misses: List[int] = [0] * n
-        self.window_bins: Dict[int, List[int]] = {}
-        self.served = 0
+        monitor = None
+        if spec.monitor and spec.monitor_every > 0 and spec.costs is not None:
+            from repro.obs.monitor import InvariantMonitor
+
+            monitor = InvariantMonitor(spec.costs)
+        # Each worker sees ~1/W of the stream, so sampling every
+        # monitor_every / W of its own requests keeps the in-process
+        # cadence.
+        self.group = ShardGroup(
+            shards,
+            CostLedger(shards.num_users, spec.costs, window=spec.window),
+            monitor,
+            max(1, spec.monitor_every // spec.num_workers),
+        )
         # Flight recorder for this worker's shards only: times are the
         # global clock, so windows are sparse (dense=False in meta)
         # unless the pool runs a single worker.
@@ -201,20 +178,14 @@ class _WorkerState:
             from repro.obs.flight import FlightRecorder
 
             self.flight = FlightRecorder(capacity=spec.flight_capacity)
-            for shard in self.shards.values():
-                shard.attach_flight(self.flight, self.owners_list)
+            for shard in shards.shards:
+                shard.attach_flight(self.flight, self.group.owners_list)
             self.flight.note_config(
                 worker=spec.worker_id,
                 shard_ids=list(spec.shard_ids),
                 dense=(spec.num_workers == 1),
                 **spec.flight_meta,
             )
-        self.monitor = None
-        self._since_monitor = 0
-        if spec.monitor and spec.monitor_every > 0 and spec.costs is not None:
-            from repro.obs.monitor import InvariantMonitor
-
-            self.monitor = InvariantMonitor(spec.costs)
         # Distributed tracing: spans spill to a worker-local JSONL file
         # (namespaced ids, see repro.obs.distrib); the parent merges
         # the files after the run.
@@ -245,35 +216,13 @@ class _WorkerState:
         ts: List[int],
         trace_id: int = 0,
         parent: int = 0,
-    ) -> bytearray:
-        """Serve one routed batch; returns per-request hit flags."""
+    ) -> List[bool]:
+        """Serve one routed batch through the group; returns per-request
+        hit flags, and spills a ``worker.apply`` span when traced."""
         t_trace = 0
         if trace_id and self.tracer is not None:
             t_trace = time.perf_counter_ns()
-        shard_ids = self.shard_table[np.asarray(pages, dtype=np.int64)].tolist()
-        shards = self.shards
-        owners = self.owners_list
-        hits = self.hits
-        misses = self.misses
-        window = self.spec.window
-        bins = self.window_bins
-        n_users = self.spec.num_users
-        flags = bytearray(len(pages))
-        for i, page in enumerate(pages):
-            hit, _victim = shards[shard_ids[i]].serve(page, ts[i])
-            tenant = owners[page]
-            if hit:
-                flags[i] = 1
-                hits[tenant] += 1
-            else:
-                misses[tenant] += 1
-                if window is not None:
-                    row = bins.get(ts[i] // window)
-                    if row is None:
-                        row = bins[ts[i] // window] = [0] * n_users
-                    row[tenant] += 1
-        self.served += len(pages)
-        self._maybe_monitor(len(pages), ts[-1] + 1 if ts else 0)
+        flags = self.group.apply(pages, ts)
         if t_trace:
             self._emit_span(  # type: ignore[misc]
                 self.tracer,
@@ -287,75 +236,12 @@ class _WorkerState:
             )
         return flags
 
-    def apply_detail(
-        self, pages: List[int], ts: List[int]
-    ) -> List[Tuple[bool, Optional[int], int]]:
-        """Serve one routed batch keeping per-request victims."""
-        out: List[Tuple[bool, Optional[int], int]] = []
-        shard_ids = self.shard_table[np.asarray(pages, dtype=np.int64)].tolist()
-        for i, page in enumerate(pages):
-            sid = shard_ids[i]
-            hit, victim = self.shards[sid].serve(page, ts[i])
-            tenant = self.owners_list[page]
-            if hit:
-                self.hits[tenant] += 1
-            else:
-                self.misses[tenant] += 1
-                window = self.spec.window
-                if window is not None:
-                    row = self.window_bins.setdefault(
-                        ts[i] // window, [0] * self.spec.num_users
-                    )
-                    row[tenant] += 1
-            out.append((hit, victim, sid))
-        self.served += len(pages)
-        self._maybe_monitor(len(pages), ts[-1] + 1 if ts else 0)
-        return out
-
-    def _maybe_monitor(self, n: int, t: int) -> None:
-        """Sample the invariant monitor every ``monitor_every / W`` of
-        this worker's *own* requests — each worker sees ~1/W of the
-        stream, so the global sampling cadence matches in-process
-        serving."""
-        if self.monitor is None:
-            return
-        self._since_monitor += n
-        if self._since_monitor >= max(
-            1, self.spec.monitor_every // max(1, self.spec.num_workers)
-        ):
-            self._since_monitor = 0
-            self.monitor.sample(
-                t,
-                self.misses,
-                policies=[s.policy for s in self.shards.values()],
-            )
-
     def snapshot(self) -> Dict[str, object]:
-        """Ground-truth state for the parent's scrape-time merge."""
-        snap: Dict[str, object] = {
-            "worker": self.spec.worker_id,
-            "served": self.served,
-            "hits": list(self.hits),
-            "misses": list(self.misses),
-            "window_bins": {k: list(v) for k, v in self.window_bins.items()},
-            "shards": [
-                {
-                    "shard": sid,
-                    "occupancy": shard.occupancy,
-                    "slots": shard.slots,
-                    "evictions": shard.evictions,
-                    "timing": list(shard.timing) if shard.timing else None,
-                }
-                for sid, shard in sorted(self.shards.items())
-            ],
-            "monitor_flags": 0,
-            "monitor_samples": 0,
-            "flight_len": len(self.flight) if self.flight else 0,
-        }
-        if self.monitor is not None:
-            snap["monitor_flags"] = len(self.monitor.flags)
-            snap["monitor_samples"] = len(self.monitor.samples)
-            snap["monitor_summary"] = self.monitor.summary()
+        """The group's ground truth for the parent's scrape-time merge,
+        with the ledger as plain counters (cost functions need not
+        pickle)."""
+        snap = self.group.snapshot()
+        snap["ledger"] = self.group.ledger.counters()
         return snap
 
     def flight_window(self) -> Tuple[Dict[str, object], List[tuple]]:
@@ -424,7 +310,9 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                     _, t0, pos_b, pages_b = msg
                     pos = np.frombuffer(pos_b, dtype=np.int32).tolist()
                     pages = np.frombuffer(pages_b, dtype=np.int64).tolist()
-                    conn.send(state.apply_detail(pages, [t0 + p for p in pos]))
+                    conn.send(
+                        state.group.apply(pages, [t0 + p for p in pos], True)
+                    )
                 elif op == "s":  # snapshot (scrape-time gather)
                     conn.send(state.snapshot())
                 elif op == "f":  # flight window gather
@@ -433,7 +321,7 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                     conn.send(state.profile_folded())
                 elif op == "c":  # close
                     state.close()
-                    conn.send(("bye", state.served))
+                    conn.send(("bye", state.group.ledger.total_requests))
                     return
                 else:  # pragma: no cover - protocol bug guard
                     conn.send(("err", f"unknown op {op!r}"))
@@ -518,18 +406,14 @@ class ShardWorkerPool:
         self.num_shards = num_shards
         #: Effective worker count (a shard is never split).
         self.num_workers = min(num_workers, num_shards)
-        self.num_users = int(np.asarray(owners).max()) + 1
         owners = np.ascontiguousarray(np.asarray(owners, dtype=np.int64))
-        num_pages = int(owners.size)
+        self.num_users = int(owners.max()) + 1
+        self._costs = costs
+        self._window = window
         #: page → worker routing table (uint8: W <= 255 by construction).
-        if num_shards == 1:
-            shard_table = np.zeros(num_pages, dtype=np.int64)
-        else:
-            shard_table = (
-                page_hash_array(np.arange(num_pages, dtype=np.int64))
-                % np.uint64(num_shards)
-            ).astype(np.int64)
-        self._page_worker = (shard_table % self.num_workers).astype(np.uint8)
+        self._page_worker = (
+            shard_table(int(owners.size), num_shards) % self.num_workers
+        ).astype(np.uint8)
 
         if start_method is None:
             start_method = (
@@ -563,7 +447,6 @@ class ShardWorkerPool:
                     horizon=horizon,
                     validate=validate,
                     window=window,
-                    num_users=self.num_users,
                     timing=timing,
                     flight_capacity=flight_capacity,
                     flight_meta=dict(flight_meta or {}),
@@ -682,6 +565,16 @@ class ShardWorkerPool:
         """Per-page worker ids (the precomputed splitmix64 table)."""
         return self._page_worker[pages]
 
+    def _split(self, pages: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        """``(worker, positions)`` for every worker the batch touches."""
+        wids = self._page_worker[pages]
+        parts = []
+        for w in range(self.num_workers):
+            pos = np.nonzero(wids == w)[0]
+            if pos.size:
+                parts.append((w, pos))
+        return parts
+
     def apply(
         self,
         pages: np.ndarray,
@@ -698,14 +591,9 @@ class ShardWorkerPool:
         router-side span id) to every worker touched by the batch.
         """
         pages = np.ascontiguousarray(pages, dtype=np.int64)
-        wids = self._page_worker[pages]
-        sends: List[Tuple[int, np.ndarray]] = []
-        for w in range(self.num_workers):
-            pos = np.nonzero(wids == w)[0]
-            if not pos.size:
-                continue
+        sends = self._split(pages)
+        for w, pos in sends:
             self._send_frame(w, t0, pages[pos], pos, trace_id, parent)
-            sends.append((w, pos))
         flags = np.empty(int(pages.size), dtype=np.uint8)
         for w, pos in sends:
             flags[pos] = self._recv_flags(w)
@@ -720,17 +608,12 @@ class ShardWorkerPool:
         heterogeneous tuples, and the single-request path that uses
         them is not the throughput path."""
         pages = np.ascontiguousarray(pages, dtype=np.int64)
-        wids = self._page_worker[pages]
-        sends: List[Tuple[int, np.ndarray]] = []
-        for w in range(self.num_workers):
-            pos = np.nonzero(wids == w)[0]
-            if not pos.size:
-                continue
+        sends = self._split(pages)
+        for w, pos in sends:
             self._send_control(
                 w,
                 ("d", t0, pos.astype(np.int32).tobytes(), pages[pos].tobytes()),
             )
-            sends.append((w, pos))
         out: List[Optional[Tuple[bool, Optional[int], int]]] = [None] * int(
             pages.size
         )
@@ -742,88 +625,53 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Scrape-time gather
     # ------------------------------------------------------------------
-    def worker_snapshots(
-        self, best_effort: bool = False
-    ) -> List[Dict[str, object]]:
-        """One ground-truth snapshot per worker (see
-        ``_WorkerState.snapshot``); with *best_effort* dead workers are
-        skipped instead of raising."""
-        snaps: List[Dict[str, object]] = []
+    def _gather(self, op: str, best_effort: bool = False) -> List[Tuple[int, object]]:
+        """Send control *op* to every worker, then collect the replies:
+        ``(worker, reply)`` in worker order.  With *best_effort* dead
+        workers are skipped instead of raising."""
         polled: List[int] = []
         for w in range(self.num_workers):
             try:
-                self._send_control(w, ("s",))
+                self._send_control(w, (op,))
                 polled.append(w)
             except WorkerCrashed:
                 if not best_effort:
                     raise
+        replies: List[Tuple[int, object]] = []
         for w in polled:
             try:
-                snaps.append(self._recv(w))
+                replies.append((w, self._recv(w)))
             except WorkerCrashed:
                 if not best_effort:
                     raise
-        return snaps
+        return replies
 
     def snapshot(self, best_effort: bool = False) -> Dict[str, object]:
-        """Merge the worker snapshots into one pool-level document."""
-        snaps = self.worker_snapshots(best_effort=best_effort)
-        hits = [0] * self.num_users
-        misses = [0] * self.num_users
-        window_bins: Dict[int, List[int]] = {}
-        shards: List[Dict[str, object]] = []
+        """The workers' group snapshots merged into one document of the
+        shape :meth:`~repro.serve.shard.ShardGroup.snapshot` returns —
+        ``ledger`` is a :class:`~repro.serve.accounting.CostLedger`
+        merged from every worker's slice — plus ``workers``."""
+        ledger = CostLedger(self.num_users, self._costs, window=self._window)
         merged: Dict[str, object] = {
             "workers": self.num_workers,
-            "served": 0,
+            "ledger": ledger,
+            "shards": [],
             "monitor_flags": 0,
             "monitor_samples": 0,
-            "flight_len": 0,
         }
-        for snap in snaps:
-            merged["served"] += snap["served"]
+        for _w, snap in self._gather("s", best_effort):
+            ledger.merge(snap["ledger"])
+            merged["shards"].extend(snap["shards"])
             merged["monitor_flags"] += snap["monitor_flags"]
             merged["monitor_samples"] += snap["monitor_samples"]
-            merged["flight_len"] += snap["flight_len"]
-            for i, h in enumerate(snap["hits"]):
-                hits[i] += h
-            for i, m in enumerate(snap["misses"]):
-                misses[i] += m
-            for idx, row in snap["window_bins"].items():
-                tgt = window_bins.setdefault(int(idx), [0] * self.num_users)
-                for i, v in enumerate(row):
-                    tgt[i] += v
-            shards.extend(snap["shards"])
-        shards.sort(key=lambda row: row["shard"])
-        merged.update(
-            {
-                "hits": hits,
-                "misses": misses,
-                "window_bins": window_bins,
-                "shards": shards,
-            }
-        )
+        merged["shards"].sort(key=lambda row: row["shard"])
         return merged
 
     def flight_windows(
         self, best_effort: bool = False
     ) -> List[Tuple[Dict[str, object], List[tuple]]]:
         """Per-worker ``(meta, raw events)`` flight windows."""
-        out: List[Tuple[Dict[str, object], List[tuple]]] = []
-        polled: List[int] = []
-        for w in range(self.num_workers):
-            try:
-                self._send_control(w, ("f",))
-                polled.append(w)
-            except WorkerCrashed:
-                if not best_effort:
-                    raise
-        for w in polled:
-            try:
-                out.append(tuple(self._recv(w)))
-            except WorkerCrashed:
-                if not best_effort:
-                    raise
-        return out
+        return [tuple(reply) for _w, reply in self._gather("f", best_effort)]
 
     def profile_gather(
         self, best_effort: bool = False
@@ -833,25 +681,11 @@ class ShardWorkerPool:
         Empty when the pool was built without ``profile=``; merge with
         the parent's own profile via :func:`repro.obs.prof.merge_folded`.
         """
-        out: Dict[str, Dict[str, int]] = {}
-        polled: List[int] = []
-        for w in range(self.num_workers):
-            try:
-                self._send_control(w, ("prof",))
-                polled.append(w)
-            except WorkerCrashed:
-                if not best_effort:
-                    raise
-        for w in polled:
-            try:
-                folded = self._recv(w)
-            except WorkerCrashed:
-                if not best_effort:
-                    raise
-                continue
-            if folded is not None:
-                out[f"w{w}"] = folded
-        return out
+        return {
+            f"w{w}": folded
+            for w, folded in self._gather("prof", best_effort)
+            if folded is not None
+        }
 
     def merged_flight_events(self, best_effort: bool = False) -> List[tuple]:
         """All workers' windows k-way-merged by global time.

@@ -58,6 +58,36 @@ class TestShardManager:
         # splitmix spreads contiguous tenant ranges across all shards
         assert len(set(sids[:100])) == 4
 
+    def test_shard_subset_builds_only_its_shards(self):
+        owners = mt_owners(4, 100)
+        full = ShardManager("random", 4, 10, owners, policy_seed=5)
+        part = ShardManager(
+            "random", 4, 10, owners, policy_seed=5, shard_ids=(3, 1)
+        )
+        assert [s.shard_id for s in part.shards] == [3, 1]
+        assert part.capacities() == [2, 3]
+        # Placement is global, and shard i draws from policy_seed + i
+        # whichever subset builds it.
+        assert [part.shard_of(p) for p in range(400)] == [
+            full.shard_of(p) for p in range(400)
+        ]
+        assert (
+            part.shards[1].policy._rng.integers(1 << 30)
+            == full.shards[1].policy._rng.integers(1 << 30)
+        )
+        for bad in ((), (1, 1), (4,), (-1,)):
+            with pytest.raises(ValueError, match="shard_ids"):
+                ShardManager("lru", 4, 10, owners, shard_ids=bad)
+
+    def test_serve_batch_matches_serve(self):
+        trace = zipf_trace(120, 1500, skew=1.1, seed=4)
+        one = ShardManager("lru", 3, 24, trace.owners)
+        batched = ShardManager("lru", 3, 24, trace.owners)
+        pages = trace.requests.tolist()
+        flags = [one.serve(p, t)[0] for t, p in enumerate(pages)]
+        assert batched.serve_batch(pages, range(len(pages))) == flags
+        assert one.occupancy() == batched.occupancy()
+
     def test_instance_policy_requires_single_shard(self):
         ShardManager(LRUPolicy(), 1, 4, mt_owners())
         with pytest.raises(ValueError, match="pre-built"):

@@ -26,7 +26,10 @@ import pytest
 import repro
 from repro.core.cost_functions import MonomialCost
 from repro.obs import FlightRecorder, Observability, replay_verify
+from repro.obs.alerts import FIRING, AlertEngine, serve_rule_pack
 from repro.obs.flight import load_flight
+from repro.obs.timeline import Timeline
+from repro.policies import POLICY_REGISTRY
 from repro.serve import (
     CacheServer,
     ServerClosed,
@@ -34,9 +37,8 @@ from repro.serve import (
     WorkerCrashed,
     serve_trace,
 )
-from repro.serve.accounting import CostLedger
-from repro.serve.shard import page_hash, page_hash_array
-from repro.sim import simulate
+from repro.serve.shard import page_hash, page_hash_array, shard_slots, shard_table
+from repro.sim import Trace, simulate
 from repro.sim.driver import simulate_many
 from repro.workloads.builders import random_multi_tenant_trace, zipf_trace
 
@@ -182,8 +184,9 @@ def test_pool_detail_path_matches_batch_path():
 
 
 def test_pool_snapshot_merges_to_single_ledger():
-    """The merged snapshot rebuilds, through ``CostLedger.
-    from_counters``, exactly the ledger a single-process server keeps."""
+    """The pool snapshot's ledger — every worker's slice merged with
+    ``CostLedger.merge`` — is exactly the ledger a single-process
+    server keeps."""
     trace = random_multi_tenant_trace(4, 50, 2500, seed=9)
     costs = [MonomialCost(2)] * trace.num_users
     window = 256
@@ -194,14 +197,10 @@ def test_pool_snapshot_merges_to_single_ledger():
     finally:
         pool.close()
     assert snap["workers"] == 3
-    assert snap["served"] == trace.length
-    assert sum(snap["hits"]) == int(flags.sum())
+    merged = snap["ledger"]
+    assert merged.total_requests == trace.length
+    assert merged.hits == int(flags.sum())
     assert [row["shard"] for row in snap["shards"]] == list(range(5))
-    merged = CostLedger.from_counters(
-        trace.num_users, costs=costs, window=window,
-        hits=snap["hits"], misses=snap["misses"],
-        total_requests=snap["served"], window_bins=snap["window_bins"],
-    )
     single = serve_trace(
         trace, "lru", 64, costs, num_shards=5, policy_seed=SEED,
         window=window,
@@ -214,6 +213,99 @@ def test_pool_snapshot_merges_to_single_ledger():
     assert merged.windowed_miss_counts().tolist() == (
         single.stats["windowed_misses"]
     )
+    assert merged.total_cost() == single.stats["total_cost"]
+
+
+def sharded_simulate(trace, policy, k, num_shards, costs):
+    """Per-tenant ``(hits, misses)`` of an S-shard server, from
+    ``simulate()`` run on each shard's subsequence of *trace*."""
+    shard_of = shard_table(trace.num_pages, num_shards)[trace.requests]
+    hits = np.zeros(trace.num_users, dtype=np.int64)
+    misses = np.zeros(trace.num_users, dtype=np.int64)
+    for sid, slots in enumerate(shard_slots(k, num_shards)):
+        sub = trace.requests[shard_of == sid]
+        run = simulate(
+            Trace(sub, trace.owners), POLICY_REGISTRY[policy](), slots,
+            costs=costs,
+        )
+        misses += run.user_misses
+        hits += np.bincount(
+            trace.owners[sub], minlength=trace.num_users
+        ) - run.user_misses
+    return hits.tolist(), misses.tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_server_ledger_is_exact_at_any_worker_count(workers):
+    """``server.ledger`` is the in-process live ledger at W=1 and the
+    workers' merged slices at W>1; both match ``simulate()`` per
+    tenant, while serving and after ``stop()``."""
+    trace = random_multi_tenant_trace(4, 60, 5000, seed=0)
+    costs = [MonomialCost(2)] * trace.num_users
+    want = sharded_simulate(trace, "lru", 64, 4, costs)
+
+    async def run():
+        server = CacheServer(
+            "lru", 64, trace.owners, costs, num_shards=4, workers=workers,
+        )
+        await server.start()
+        try:
+            for i in range(0, trace.length, 250):
+                await server.request_many(trace.requests[i : i + 250].tolist())
+            live = server.ledger
+            serving = (live.hits_by_user().tolist(), live.misses_by_user().tolist())
+        finally:
+            await server.stop()
+        final = server.ledger
+        return server, serving, (
+            final.hits_by_user().tolist(), final.misses_by_user().tolist()
+        ), final.total_requests
+
+    server, serving, stopped, requests = asyncio.run(run())
+    assert server.workers == workers
+    assert serving == stopped == want
+    assert requests == trace.length
+
+
+def test_worker_crash_in_first_tick_fires_alert():
+    """A worker lost before the timeline's first interval has passed
+    still fires ``serve-worker-crashed``: the first snapshot is taken at
+    start, so the crash counter has a zero baseline to rise from."""
+    trace = random_multi_tenant_trace(4, 60, 1000, seed=0)
+    costs = [MonomialCost(2)] * trace.num_users
+
+    async def run():
+        obs = Observability.enabled(timeline=Timeline(capacity=64, interval=0.2))
+        engine = AlertEngine(obs.timeline, serve_rule_pack(), enabled=True)
+        server = CacheServer(
+            "lru", 64, trace.owners, costs, num_shards=4, workers=2,
+            obs=obs, alerts=engine,
+        )
+        await server.start()
+        try:
+            victim = server._pool._procs[0]
+            victim.kill()
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            with pytest.raises(ServerClosed):
+                await asyncio.wait_for(
+                    server.request_many(trace.requests[:256].tolist()),
+                    timeout=30,
+                )
+            for _ in range(100):  # 5 s: the alert lands on the next tick
+                snap = engine.snapshot()
+                fired = [a for a in snap["active"] if a["state"] == FIRING]
+                if any(
+                    a["rule"] == "serve-worker-crashed"
+                    for a in fired + snap["resolved"]
+                ):
+                    return True
+                await asyncio.sleep(0.05)
+            return False
+        finally:
+            await asyncio.wait_for(server.stop(), timeout=30)
+
+    assert asyncio.run(run()), "serve-worker-crashed never fired"
 
 
 def test_pool_flight_windows_replay_exactly():
