@@ -13,8 +13,9 @@ serving order — the server's single consumer guarantees it):
   :class:`~repro.workloads.streams.PageStream` instead of a
   pre-materialized trace: the online setting proper, with no horizon
   materialised anywhere.
-* :func:`replay_tcp` — the same replay over the line-delimited JSON
-  TCP front end (used by the CI smoke job).
+* :func:`replay_tcp` — the same closed-loop replay over the
+  line-delimited JSON TCP front end (used by the CI smoke jobs), with
+  four batch lines in flight on one connection.
 
 On-disk traces replay via :func:`load_trace_file`: ``page,tenant``
 CSVs — including ``.gz``-compressed ones — route through
@@ -54,6 +55,10 @@ from repro.sim.trace_io import load_csv
 from repro.util.rng import RandomSource, ensure_rng
 from repro.util.validation import check_positive, check_positive_int
 from repro.workloads.streams import PageStream
+
+#: Batch lines :func:`replay_tcp` keeps in flight: :func:`replay`'s
+#: default pipeline depth.
+_TCP_PIPELINE = 4
 
 
 @dataclass
@@ -250,12 +255,20 @@ async def replay_tcp(
     batch: int = 256,
 ) -> Dict[str, object]:
     """Replay *trace* (in-RAM or a streaming columnar reader) over the
-    TCP front end; returns the final ``/stats`` document plus
+    TCP front end, keeping as many batches in flight as :func:`replay`
+    does by default; returns the final ``/stats`` document plus
     client-side ``client_hits`` / ``client_misses`` totals (summed from
     batch responses)."""
     batch = check_positive_int(batch, "batch")
     reader, writer = await asyncio.open_connection(host, port)
-    hits = misses = 0
+
+    async def reply() -> dict:
+        resp = json.loads(await reader.readline())
+        if not resp.get("ok"):
+            raise RuntimeError(f"server error: {resp.get('error')}")
+        return resp
+
+    hits = misses = inflight = 0
     try:
         for _t0, chunk in trace.batches(batch):
             pages = chunk.tolist()
@@ -263,16 +276,20 @@ async def replay_tcp(
                 json.dumps({"op": "batch", "pages": pages}).encode() + b"\n"
             )
             await writer.drain()
-            resp = json.loads(await reader.readline())
-            if not resp.get("ok"):
-                raise RuntimeError(f"server error: {resp.get('error')}")
+            inflight += 1
+            if inflight < _TCP_PIPELINE:
+                continue
+            resp = await reply()
+            inflight -= 1
             hits += resp["hits"]
             misses += resp["misses"]
         writer.write(json.dumps({"op": "stats"}).encode() + b"\n")
         await writer.drain()
-        stats_resp = json.loads(await reader.readline())
-        if not stats_resp.get("ok"):
-            raise RuntimeError(f"server error: {stats_resp.get('error')}")
+        for _ in range(inflight):
+            resp = await reply()
+            hits += resp["hits"]
+            misses += resp["misses"]
+        stats_resp = await reply()
     finally:
         writer.close()
         await writer.wait_closed()

@@ -8,6 +8,16 @@ arrival order by a single consumer task (cache mutations stay
 sequential, exactly like the engine, so results are reproducible and
 policies need no locking).
 
+The consumer serves in **runs**: each time it wakes it takes every
+submission already queued and applies consecutive batches in one call
+(one framed exchange per worker at ``W > 1``), then completes their
+futures in submission order.  A TCP connection **reads ahead**: each
+``batch`` line is submitted as soon as it is read and answered from
+its future's done callback, so a pipelining client keeps several
+batches queued and the consumer sees them as one run.  The replies of
+a run leave in one write per connection, so such a client sends its
+next lines together too.
+
 Flow control is two-level:
 
 * **global** — the ingress queue is bounded (``queue_limit`` batches);
@@ -86,6 +96,29 @@ class BatchOutcome:
     hit_flags: List[bool]
 
 
+#: What a malformed TCP line raises while it is decoded and checked.
+_BAD_LINE = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+
+def _batch_pages(msg: Dict[str, object]) -> list:
+    """The pages of a ``batch`` op.  type() is exact: bools, floats and
+    strings are refused."""
+    pages = msg["pages"]
+    if type(pages) is not list or not set(map(type, pages)) <= {int}:
+        raise TypeError("pages must be a JSON array of integers")
+    return pages
+
+
+def _batch_reply(out: BatchOutcome, detail: object) -> Dict[str, object]:
+    """The reply line of a served ``batch`` op."""
+    resp: Dict[str, object] = {
+        "ok": True, "hits": out.hits, "misses": out.misses, "t0": out.t0,
+    }
+    if detail:
+        resp["hit_flags"] = out.hit_flags
+    return resp
+
+
 class TenantGate:
     """A counting gate: at most *capacity* queued requests per tenant.
 
@@ -147,14 +180,43 @@ class TenantGate:
 
 
 #: Queue items: (pages, future, detail, per-tenant credits to release,
-#: enqueue timestamp for queue-wait accounting — 0.0 when obs is off).
+#: enqueue timestamp for queue-wait accounting — 0.0 when obs is off,
+#: route slot).  The route slot is a TCP submission's ``[trace_id,
+#: router span id]``, filled when the submission is routed traced, so
+#: its reply span links into the tree; ``None`` elsewhere.
 _Item = Tuple[
     Sequence[int],
     "asyncio.Future",
     bool,
     Optional[List[Tuple[int, int]]],
     float,
+    Optional[List[int]],
 ]
+
+
+class _Outbox:
+    """A TCP connection's reply lines, written once per loop iteration.
+
+    The consumer completes a run's futures together, so their reply
+    callbacks run back to back; one write for all of them reaches the
+    client as one segment, and a pipelining client answers with its
+    next lines together, which the consumer then serves as one run."""
+
+    __slots__ = ("writer", "lines")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.lines: List[bytes] = []
+
+    def put(self, line: bytes) -> None:
+        if not self.lines:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self.lines.append(line)
+
+    def flush(self) -> None:
+        if self.lines and not self.writer.is_closing():
+            self.writer.write(b"".join(self.lines))
+        self.lines.clear()
 
 
 class CacheServer:
@@ -189,9 +251,9 @@ class CacheServer:
         with ``W > 1`` a :class:`~repro.serve.workers.ShardWorkerPool`
         is started alongside the consumer — shard *s* lives in worker
         ``s % W``, which serves it through a group of its own, and the
-        consumer routes each submission with the same splitmix64
-        placement in one framed pipe exchange per worker and merges the
-        replies back into submission order.  Either way one consumer
+        consumer routes each run of queued batches with the same
+        splitmix64 placement in one framed pipe exchange per worker and
+        merges the replies back into submission order.  Either way one consumer
         path builds the outcomes, so backpressure and drain semantics
         are the same and results are bit-identical for any ``W`` (the
         global clock is assigned before routing).  Scrape paths merge
@@ -219,8 +281,10 @@ class CacheServer:
         submissions carry ``trace_id=0`` on the worker wire — workers
         skip their span spills automatically — and emit no parent-side
         spans, so tracing cost scales with ``1/N`` while every sampled
-        tree stays complete (ingress → route → worker applies).  The
-        wire format is identical either way.
+        tree stays complete (ingress → route → worker applies).  A
+        sampled submission is served in an apply call of its own, so
+        its tree covers exactly its requests.  The wire format is
+        identical either way.
     """
 
     def __init__(
@@ -293,11 +357,6 @@ class CacheServer:
         self.profiler = None
         self._pool_profiles: Dict[str, Dict[str, int]] = {}
         self._timeline_task: Optional[asyncio.Task] = None
-        # Distributed-trace bookkeeping: submission t0 -> (trace_id,
-        # router span id), so the TCP reply span can link into the tree
-        # the workers extended.  Bounded: traces are best-effort.
-        self._route_ctx: Dict[int, Tuple[int, int]] = {}
-        self._reply_ctx: Optional[Tuple[int, int]] = None
         self._trace_sample = check_positive_int(trace_sample, "trace_sample")
         self._trace_seq = 0
         self._ingress_seq = 0
@@ -309,15 +368,17 @@ class CacheServer:
         self._tracing_on = self.obs.tracer.enabled
         self._obs_active = self._metrics_on or self._tracing_on
         # Latency histograms cover the pipeline stages: queue wait
-        # (enqueue -> consumer pickup) and apply (shard dispatch +
-        # policy decisions for one submission).  NULL_METRIC when off.
+        # (enqueue -> the start of the apply call that serves it), one
+        # observation per submission, and apply (shard dispatch + policy
+        # decisions), one per apply call — a run of batches or a lone
+        # submission — so its sum is busy time.  NULL_METRIC when off.
         self._h_queue = reg.histogram(
             "serve_queue_wait_seconds",
             "Time a submission spends in the ingress queue",
         )
         self._h_apply = reg.histogram(
             "serve_apply_seconds",
-            "Time applying one submission (request or batch) to the shards",
+            "Time of one apply call (a run of batches, or one submission)",
         )
         # Ground-truth counters come from scrape-time collectors (the
         # ledger/shards are the source of truth), so the hot path never
@@ -544,7 +605,12 @@ class CacheServer:
                 return _NULL_CM
         return self.obs.tracer.span("serve.ingress", n=n)
 
-    async def _submit(self, pages: Sequence[int], detail: bool) -> asyncio.Future:
+    async def _submit(
+        self,
+        pages: Sequence[int],
+        detail: bool,
+        route: Optional[List[int]] = None,
+    ) -> asyncio.Future:
         if self._closed or self._queue is None:
             raise ServerClosed(f"server {self.name!r} is not accepting requests")
         self._check_pages(pages)
@@ -561,7 +627,7 @@ class CacheServer:
                     credits.append((tenant, taken))
             fut = asyncio.get_running_loop().create_future()
             t_enq = perf_counter() if self._obs_active else 0.0
-            await self._queue.put((pages, fut, detail, credits, t_enq))
+            await self._queue.put((pages, fut, detail, credits, t_enq, route))
         return fut
 
     async def request(self, page: int) -> RequestOutcome:
@@ -589,30 +655,67 @@ class CacheServer:
         assert queue is not None
         try:
             while True:
-                item = await queue.get()
-                try:
-                    if item is None:
-                        return
-                    self._process(item)
-                except ServerClosed as exc:
-                    # A shard worker died (WorkerCrashed is the only
-                    # ServerClosed _process can raise): answer every
-                    # accepted request with the error instead of
-                    # hanging its future, dump what the survivors
-                    # recorded, and stop consuming.
-                    self._on_worker_crash(item, exc)
-                    return
-                finally:
-                    queue.task_done()
+                run = self._take(await queue.get())
+                if not self._serve(run) or run[-1] is None:
+                    return  # a dead worker, or the drain sentinel
         except asyncio.CancelledError:
             # Fault injection / hard shutdown: an accepted request is
-            # still answered.  Processing is synchronous, so the cancel
+            # still answered.  Serving is synchronous, so the cancel
             # can only land on the queue.get above — drain what was
             # accepted, then honour the cancellation.
             self._closed = True
-            self._drain_sync()
+            while not queue.empty():
+                if not self._serve(self._take(queue.get_nowait())):
+                    break
             self._auto_dump("fault-drain")
             raise
+
+    def _take(self, first: Optional[_Item]) -> List[Optional[_Item]]:
+        """A run: *first* and every submission already queued behind
+        it, up to the drain sentinel."""
+        queue = self._queue
+        assert queue is not None
+        run = [first]
+        while run[-1] is not None and not queue.empty():
+            run.append(queue.get_nowait())
+        return run
+
+    def _head_sample(self) -> bool:
+        """Head sampling, decided once per submission in serving order."""
+        if self._tracing_on and self._trace_sample > 1:
+            self._trace_seq += 1
+            return not self._trace_seq % self._trace_sample
+        return self._tracing_on
+
+    def _serve(self, run: List[Optional[_Item]]) -> bool:
+        """Serve a run in submission order and mark it done on the queue.
+
+        Consecutive batches share one apply call; a detail submission
+        (``request``) or a head-sampled one gets a call of its own.
+        Returns False when a shard worker died (``WorkerCrashed`` is the
+        only ``ServerClosed`` :meth:`_process` can raise): every request
+        of the run not yet served and everything queued are answered
+        with the error instead of hanging, and the consumer stops."""
+        queue = self._queue
+        assert queue is not None
+        items = [item for item in run if item is not None]
+        traced = [self._head_sample() for _ in items]
+        alone = [item[2] or sampled for item, sampled in zip(items, traced)]
+        ends = [i for i in range(1, len(items)) if alone[i] or alone[i - 1]]
+        if items:
+            ends.append(len(items))
+        start = 0
+        try:
+            for end in ends:
+                self._process(items[start:end], traced[start])
+                start = end
+        except ServerClosed as exc:
+            self._on_worker_crash(items[start:], exc)
+            return False
+        finally:
+            for _ in run:
+                queue.task_done()
+        return True
 
     def _auto_dump(self, reason: str) -> None:
         """Persist the flight window when something went wrong (a new
@@ -663,84 +766,66 @@ class CacheServer:
     def _fail_item(self, item: Optional[_Item], exc: BaseException) -> None:
         if item is None:
             return
-        pages, fut, _detail, credits, _t_enq = item
+        _pages, fut, _detail, credits, _t_enq, _route = item
         if credits is not None and self._gates is not None:
             for tenant, n in credits:
                 self._gates[tenant].release(n)
         if not fut.done():
             fut.set_exception(exc)
 
-    def _on_worker_crash(self, item: Optional[_Item], exc: Exception) -> None:
+    def _on_worker_crash(self, items: Sequence[_Item], exc: Exception) -> None:
         """A worker died mid-exchange: close the ingress, fail the
-        in-flight submission and everything still queued (an accepted
-        request is always *answered*, here with the crash error), and
-        auto-dump the surviving workers' flight windows."""
+        run's unserved submissions and everything still queued (an
+        accepted request is always *answered*, here with the crash
+        error), and auto-dump the surviving workers' flight windows."""
         self._closed = True
         # The timeline tick and HTTP plane keep running after a crash,
         # so the crash-counter bump below reaches the next snapshot and
         # the serve-worker-crashed alert fires within one tick.
         self._crashes += 1
-        self._fail_item(item, exc)
+        for item in items:
+            self._fail_item(item, exc)
         queue = self._queue
         assert queue is not None
-        while True:
+        while not queue.empty():
             try:
-                nxt = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            try:
-                self._fail_item(nxt, exc)
+                self._fail_item(queue.get_nowait(), exc)
             finally:
                 queue.task_done()
         self._auto_dump("worker-crash")
 
-    def _drain_sync(self) -> None:
-        queue = self._queue
-        assert queue is not None
-        while True:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            try:
-                if item is not None:
-                    self._process(item)
-            except ServerClosed as exc:
-                self._on_worker_crash(item, exc)
-                return
-            finally:
-                queue.task_done()
-
-    def _process(self, item: _Item) -> None:
-        """Apply one submission, at any worker count.
+    def _process(self, run: Sequence[_Item], traced: bool) -> None:
+        """Serve consecutive submissions in one apply call, at any
+        worker count.
 
         The in-process group, or the worker pool whose workers run the
-        same group code, serves the batch with the global clock
-        assigned up front; everything after it — auditor, outcome
-        building, trace spans, telemetry, credit release, and future
-        completion — runs once per submission, the same way at any
-        ``W``.  The auditor consumes ``(page, tenant, hit)`` in
-        submission order, so observing after the batch is exact."""
-        pages, fut, detail, credits, t_enq = item
+        same group code, serves their requests with the global clock
+        assigned up front: consecutive submissions carry consecutive
+        clocks, so at ``W > 1`` the call is one framed exchange per
+        worker.  The auditor (which consumes ``(page, tenant, hit)`` in
+        submission order, so observing after the call is exact), the
+        route span and the apply telemetry run once per call; outcome,
+        credit release and future completion once per submission, in
+        order.  A detail or traced submission arrives alone; *traced*
+        is its head-sampling decision."""
         obs_on = self._obs_active
         if obs_on:
             t_start = perf_counter()
         t0 = self._t
-        # Head sampling, decided once per submission.
-        traced = self._tracing_on
-        if traced and self._trace_sample > 1:
-            self._trace_seq += 1
-            traced = not self._trace_seq % self._trace_sample
+        pages = (
+            run[0][0] if len(run) == 1 else [p for item in run for p in item[0]]
+        )
+        detail = run[0][2]
         # Distributed span context (worker pool only): a deterministic
         # per-submission trace id (the global clock is unique and
         # nonzero after +1) and a router-side root span id that the
         # workers parent under.
         trace_id = root_span = 0
-        if traced and self._pool is not None:
+        pool = self._pool
+        if traced and pool is not None:
             trace_id = t0 + 1
             root_span = next(self.obs.tracer._ids)
             t_route = perf_counter()
-        pool = self._pool
         if pool is None:
             served = self._group.apply(pages, range(t0, t0 + len(pages)), detail)
         elif detail:
@@ -751,24 +836,7 @@ class CacheServer:
             ).astype(bool).tolist()
         self._t = t0 + len(pages)
         owners = self._owners_list
-        result: object
-        if detail:
-            flags = [hit for hit, _victim, _sid in served]
-            result = [
-                RequestOutcome(
-                    page=page, tenant=owners[page], hit=hit, t=t,
-                    shard=sid, victim=victim,
-                )
-                for t, (page, (hit, victim, sid)) in enumerate(
-                    zip(pages, served), t0
-                )
-            ]
-        else:
-            flags = served
-            hits = sum(flags)
-            result = BatchOutcome(
-                t0=t0, hits=hits, misses=len(flags) - hits, hit_flags=flags
-            )
+        flags = [hit for hit, _victim, _sid in served] if detail else served
         auditor = self._auditor
         if auditor is not None:
             for page, hit in zip(pages, flags):
@@ -786,30 +854,56 @@ class CacheServer:
                 t0=t0,
                 workers=self.workers,
             )
-            if len(self._route_ctx) > 1024:  # best-effort bound
-                self._route_ctx.clear()
-            self._route_ctx[t0] = (trace_id, root_span)
+            route = run[0][5]
+            if route is not None:  # a TCP submission: link its reply
+                route[:] = (trace_id, root_span)
         if obs_on:
-            self._account(len(pages), t_enq, t_start, traced)
-        if credits is not None and self._gates is not None:
-            for tenant, n in credits:
-                self._gates[tenant].release(n)
-        if not fut.cancelled():
-            fut.set_result(result)
+            self._account(run, len(pages), t_start, traced)
+        gates = self._gates
+        lo = 0
+        for item_pages, fut, _detail, credits, _t_enq, _route in run:
+            hi = lo + len(item_pages)
+            result: object
+            if detail:
+                result = [
+                    RequestOutcome(
+                        page=page, tenant=owners[page], hit=hit, t=t,
+                        shard=sid, victim=victim,
+                    )
+                    for t, (page, (hit, victim, sid)) in enumerate(
+                        zip(pages, served), t0
+                    )
+                ]
+            else:
+                hit_flags = flags[lo:hi]
+                hits = sum(hit_flags)
+                result = BatchOutcome(
+                    t0=t0 + lo, hits=hits, misses=hi - lo - hits,
+                    hit_flags=hit_flags,
+                )
+            if credits is not None and gates is not None:
+                for tenant, n in credits:
+                    gates[tenant].release(n)
+            if not fut.cancelled():
+                fut.set_result(result)
+            lo = hi
 
     def _account(
-        self, n: int, t_enq: float, t_start: float, traced: bool
+        self, run: Sequence[_Item], n: int, t_start: float, traced: bool
     ) -> None:
-        """Post-apply telemetry for one submission of *n* requests
-        (obs-active only); *traced* is its head-sampling decision."""
+        """Post-apply telemetry for one apply call of *n* requests over
+        the submissions in *run* (obs-active only): one apply
+        observation, one queue wait per submission; *traced* is the
+        head-sampling decision of a submission served alone."""
         dur = perf_counter() - t_start
-        queue_wait = (t_start - t_enq) if t_enq else 0.0
+        waits = [(t_start - item[4]) if item[4] else 0.0 for item in run]
         if self._metrics_on:
             self._h_apply.observe(dur)
-            self._h_queue.observe(queue_wait)
+            for wait in waits:
+                self._h_queue.observe(wait)
         if traced:
             tracer = self.obs.tracer
-            tracer.record_span("serve.queue_wait", queue_wait, n=n)
+            tracer.record_span("serve.queue_wait", waits[0], n=n)
             tracer.record_span("serve.apply", dur, n=n, t=self._t)
 
     # ------------------------------------------------------------------
@@ -1230,58 +1324,125 @@ class CacheServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection, reading ahead.
+
+        A well-formed ``batch`` line is submitted as soon as it is read
+        and answered from its future's done callback.  Futures complete
+        in submission order and each reply callback is the first one
+        added to its future, so batch replies reach the outbox in line
+        order.  Every other line — another op, a ``request``, a
+        malformed line, a batch refused with ``ServerClosed`` — is
+        answered here once the newest batch's future is done and its
+        reply queued.  The connection is read only as fast as its
+        replies drain, and at EOF the replies still owed are written
+        before it closes."""
+        newest: Optional[asyncio.Future] = None
+        outbox = _Outbox(writer)
         try:
             while True:
                 line = await reader.readline()
                 if not line:
                     break
-                response = await self._dispatch_line(line)
-                # Synchronous read (no await since dispatch returned):
-                # the route context this dispatch recorded, if any.
-                reply_ctx = self._reply_ctx
-                self._reply_ctx = None
-                payload = json.dumps(response).encode("utf-8") + b"\n"
-                if self._tracing_on:
-                    t0 = perf_counter()
-                    writer.write(payload)
-                    await writer.drain()
-                    dur = perf_counter() - t0
-                    if reply_ctx is not None:
-                        # Close the distributed tree: router -> worker
-                        # apply -> reply, all under one trace id.
-                        emit_span(
-                            self.obs.tracer,
-                            "serve.reply",
-                            dur,
-                            trace_id=reply_ctx[0],
-                            span_id=next(self.obs.tracer._ids),
-                            parent_id=reply_ctx[1],
-                            bytes=len(payload),
-                        )
-                    else:
-                        self.obs.tracer.record_span(
-                            "serve.reply", dur, bytes=len(payload)
-                        )
+                fut = await self._read_ahead(line, outbox)
+                if fut is not None:
+                    newest = fut
                 else:
-                    writer.write(payload)
-                    await writer.drain()
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
+                    if newest is not None:
+                        # Not newest.done(): a done future's reply
+                        # callback may not have run yet; wait() wakes
+                        # after it.
+                        await asyncio.wait((newest,))
+                        newest = None
+                    route = [0, 0] if self._tracing_on else None
+                    response = await self._dispatch_line(line, route)
+                    self._write(outbox, response, route)
+                await writer.drain()
+            if newest is not None:
+                await asyncio.wait((newest,))
+        except ConnectionError:
+            pass  # the client went away; its accepted batches are still served
         finally:
+            outbox.flush()
             writer.close()
             try:
                 await writer.wait_closed()
             except (  # pragma: no cover - teardown races are benign
                 asyncio.CancelledError,
-                ConnectionResetError,
                 OSError,
             ):
                 pass
 
-    async def _dispatch_line(self, line: bytes) -> Dict[str, object]:
-        """Answer one TCP line.  Malformed input — bad JSON, a JSON
-        value that is not an object, bad fields — gets an error reply
-        and leaves the server and the connection as they were."""
+    async def _read_ahead(
+        self, line: bytes, outbox: _Outbox
+    ) -> Optional[asyncio.Future]:
+        """Submit *line* if it is a well-formed ``batch`` the server
+        accepts, replying from the future's done callback; ``None`` for
+        every other line (the caller answers it inline)."""
+        try:
+            msg = json.loads(line)
+            if type(msg) is not dict or msg.get("op") != "batch":
+                return None
+            route = [0, 0] if self._tracing_on else None
+            fut = await self._submit(_batch_pages(msg), False, route)
+        except (ServerClosed,) + _BAD_LINE:
+            return None
+        fut.add_done_callback(
+            partial(self._reply, outbox, bool(msg.get("detail")), route)
+        )
+        return fut
+
+    def _reply(
+        self,
+        outbox: _Outbox,
+        detail: bool,
+        route: Optional[List[int]],
+        fut: asyncio.Future,
+    ) -> None:
+        """Done callback of a read-ahead batch: queue its reply line."""
+        exc = fut.exception()  # retrieved even when the client is gone
+        if exc is not None:
+            self._write(outbox, {"ok": False, "error": str(exc)}, None)
+        else:
+            self._write(outbox, _batch_reply(fut.result(), detail), route)
+
+    def _write(
+        self,
+        outbox: _Outbox,
+        response: Dict[str, object],
+        route: Optional[List[int]],
+    ) -> None:
+        """Encode one reply line into *outbox*.  With tracing on, record
+        its ``serve.reply`` span (the encode), linked under the
+        submission's ``serve.route`` span when *route* holds one."""
+        t_write = perf_counter() if self._tracing_on else 0.0
+        payload = json.dumps(response).encode("utf-8") + b"\n"
+        outbox.put(payload)
+        if not t_write:
+            return
+        dur = perf_counter() - t_write
+        tracer = self.obs.tracer
+        if route is not None and route[0]:
+            # Close the distributed tree: router -> worker apply ->
+            # reply, all under one trace id.
+            emit_span(
+                tracer,
+                "serve.reply",
+                dur,
+                trace_id=route[0],
+                span_id=next(tracer._ids),
+                parent_id=route[1],
+                bytes=len(payload),
+            )
+        else:
+            tracer.record_span("serve.reply", dur, bytes=len(payload))
+
+    async def _dispatch_line(
+        self, line: bytes, route: Optional[List[int]] = None
+    ) -> Dict[str, object]:
+        """Answer one TCP line inline.  Malformed input — bad JSON, a
+        JSON value that is not an object, bad fields — gets an error
+        reply and leaves the server and the connection as they were.
+        *route* is the route slot a ``request`` submission carries."""
         try:
             msg = json.loads(line)
             if not isinstance(msg, dict):
@@ -1293,8 +1454,8 @@ class CacheServer:
                 page = msg["page"]
                 if type(page) is not int:
                     raise TypeError(f"page must be a JSON integer, got {page!r}")
-                out = await self.request(page)
-                self._reply_ctx = self._route_ctx.pop(out.t, None)
+                fut = await self._submit((page,), True, route)
+                out = (await fut)[0]
                 return {
                     "ok": True,
                     "hit": out.hit,
@@ -1303,21 +1464,8 @@ class CacheServer:
                     "shard": out.shard,
                 }
             if op == "batch":
-                pages = msg["pages"]
-                # type() is exact: bools, floats and strings are refused.
-                if type(pages) is not list or not set(map(type, pages)) <= {int}:
-                    raise TypeError("pages must be a JSON array of integers")
-                out = await self.request_many(pages)
-                self._reply_ctx = self._route_ctx.pop(out.t0, None)
-                resp: Dict[str, object] = {
-                    "ok": True,
-                    "hits": out.hits,
-                    "misses": out.misses,
-                    "t0": out.t0,
-                }
-                if msg.get("detail"):
-                    resp["hit_flags"] = out.hit_flags
-                return resp
+                batch = await self.request_many(_batch_pages(msg))
+                return _batch_reply(batch, msg.get("detail"))
             if op == "stats":
                 return {"ok": True, "stats": self.stats()}
             if op == "metrics":
@@ -1350,9 +1498,7 @@ class CacheServer:
             return {"ok": False, "error": f"unknown op {op!r}"}
         except ServerClosed as exc:
             return {"ok": False, "error": str(exc)}
-        except (
-            KeyError, TypeError, ValueError, IndexError, OverflowError
-        ) as exc:
+        except _BAD_LINE as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

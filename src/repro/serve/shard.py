@@ -518,9 +518,28 @@ class ShardGroup:
         """Serve one routed batch: ``pages[i]`` at global time ``ts[i]``.
 
         One batched call into the shards and one batched
-        :meth:`~repro.serve.accounting.CostLedger.record`.  Returns the
-        hit flags, or ``(hit, victim, shard_id)`` per request when
-        *detail* is set."""
+        :meth:`~repro.serve.accounting.CostLedger.record` per stretch
+        between monitor samples: a batch is cut wherever it crosses the
+        sampling cadence, so the monitor samples every *monitor_every*
+        requests however the stream is batched.  Returns the hit flags,
+        or ``(hit, victim, shard_id)`` per request when *detail* is
+        set."""
+        every = self._sample_every
+        if not every:
+            return self._serve(pages, ts, detail)
+        served: list = []
+        while self._since_sample + len(pages) >= every:
+            cut = every - self._since_sample
+            served += self._serve(pages[:cut], ts[:cut], detail)
+            self._since_sample = 0
+            self.sample(ts[cut - 1] + 1)
+            pages, ts = pages[cut:], ts[cut:]
+        if len(pages):
+            self._since_sample += len(pages)
+            served += self._serve(pages, ts, detail)
+        return served
+
+    def _serve(self, pages: Sequence[int], ts: Sequence[int], detail: bool) -> list:
         shards = self.shards
         if detail:
             served = [shards.serve(p, t) for p, t in zip(pages, ts)]
@@ -529,11 +548,6 @@ class ShardGroup:
             served = flags = shards.serve_batch(pages, ts)
         owners = self.owners_list
         self.ledger.record([owners[p] for p in pages], flags, ts)
-        if self._sample_every and flags:
-            self._since_sample += len(flags)
-            if self._since_sample >= self._sample_every:
-                self._since_sample = 0
-                self.sample(ts[-1] + 1)
         return served
 
     def sample(self, t: int) -> None:

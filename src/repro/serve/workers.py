@@ -20,25 +20,28 @@ would see in-process, and serving results are bit-for-bit independent
 of ``W`` (test-enforced by ``tests/test_serve_equivalence.py``).
 
 Routing is batched and buffer-flat.  A precomputed page→worker table
-(:func:`~repro.serve.shard.shard_table` modulo ``W``) splits a
-submission into per-worker position/page arrays, and each worker
-receives **one frame per batch** on its duplex pipe — never one pickle
-per request, and on the data path never a pickle at all.  Every message
-is one ``send_bytes`` frame whose first byte is its tag:
+(:func:`~repro.serve.shard.shard_table` modulo ``W``) splits an
+exchange into per-worker position/page arrays, and each worker
+receives **one frame per exchange** on its duplex pipe — never one
+pickle per request, and on the data path never a pickle at all.  The
+serve consumer makes one exchange per *run*: every batch queued when it
+wakes, which carry consecutive clocks, so a run of any length is one
+frame of ``t0`` plus positions.  Every message is one ``send_bytes``
+frame whose first byte is its tag:
 
 * ``b"p"`` — a data frame: tag + 7 pad bytes (8-aligning the payload),
   then ``t0``, ``n``, ``trace_id`` and ``parent_span`` as int64 words,
   then ``pages int64*n`` and ``pos int32*n`` (request *i* carries
   global time ``t0 + pos[i]``).  The parent frames it into a
-  preallocated per-worker staging buffer, so a batch costs no
+  preallocated per-worker staging buffer, so an exchange costs no
   allocation and no serialization once the buffer has grown to the
-  working batch size.  The worker answers ``b"F"`` + one hit-flag byte
+  working run size.  The worker answers ``b"F"`` + one hit-flag byte
   per request, or ``b"E"`` + an error message.
 * ``b"!"`` — a control frame: a pickled message for the construction
   handshake, detail/snapshot/flight/profile gathers, and shutdown.
 
 Exchanges are strictly synchronous request/reply per worker, and both
-the serve consumer's ``_process`` and the scrape paths run without
+the serve consumer's apply call and the scrape paths run without
 awaiting — under asyncio's single thread that means data and control
 messages can never interleave on a pipe, so the protocol needs no
 locks.  A worker reads a whole frame before it writes its reply, so
@@ -542,9 +545,9 @@ class ShardWorkerPool:
         trace_id: int,
         parent: int,
     ) -> None:
-        """Frame one batch into worker *w*'s reusable staging buffer and
-        send it as a single payload — no pickling, no per-batch
-        allocation once the buffer has grown to the working batch size."""
+        """Frame one exchange into worker *w*'s reusable staging buffer
+        and send it as a single payload — no pickling, no per-exchange
+        allocation once the buffer has grown to the working run size."""
         m = int(wpages.size)
         need = _PIPE_HDR + 12 * m
         buf = self._staging[w]
@@ -582,10 +585,11 @@ class ShardWorkerPool:
         trace_id: int = 0,
         parent: int = 0,
     ) -> np.ndarray:
-        """Serve one submission batch across the workers.
+        """Serve one exchange — a batch, or a run of consecutive
+        batches — across the workers.
 
-        *pages* is the batch in submission order; request *i* carries
-        global time ``t0 + i``.  Returns the merged ``uint8`` hit-flag
+        *pages* are the requests in submission order; request *i*
+        carries global time ``t0 + i``.  Returns the merged ``uint8`` hit-flag
         array, index-aligned with *pages*.  A non-zero *trace_id*
         propagates the distributed span context (*parent* is the
         router-side span id) to every worker touched by the batch.

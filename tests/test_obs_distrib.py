@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import glob
+import json
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core.cost_functions import MonomialCost
 from repro.net import NetworkSim, path_topology
-from repro.obs import JsonlSink, Observability, Timeline, Tracer
+from repro.obs import JsonlSink, ListSink, Observability, Timeline, Tracer
 from repro.obs.distrib import (
     NULL_CONTEXT,
     SpanContext,
@@ -362,6 +363,71 @@ class TestServerTracing:
             assert {c.name for c in root.children} == {"worker.apply"}
         # Trace ids are t0+1 of the sampled submissions (4th and 8th).
         assert sorted(t.trace_id for t in trees) == [3 * 256 + 1, 7 * 256 + 1]
+
+    def test_reply_spans_link_to_their_own_route(self):
+        """Every ``serve.reply`` of a pipelined TCP connection has its
+        own submission's ``serve.route`` as parent, however many sampled
+        in-process submissions are served around it (W=2, every
+        submission sampled).  Each round writes one batch line and, once
+        the server has queued it, queues 64 in-process submissions right
+        behind it: the consumer serves all of them before the line's
+        reply is written, 1,280 in all."""
+        trace = random_multi_tenant_trace(4, 60, 3000, seed=13)
+        costs = [MonomialCost(2)] * trace.num_users
+        sink = ListSink()
+        rounds, behind = 20, 64
+
+        async def run():
+            server = CacheServer(
+                "lru", 64, trace.owners, costs, num_shards=2,
+                policy_seed=SEED, workers=2,
+                obs=Observability.enabled(sink=sink),
+            )
+            await server.start()
+            host, port = await server.start_tcp()
+            reader, writer = await asyncio.open_connection(host, port)
+            pages = trace.requests.tolist()
+            futs = []
+            try:
+                for r in range(rounds):
+                    await server.drain()
+                    line = {"op": "batch", "pages": pages[r * 128 : (r + 1) * 128]}
+                    writer.write(json.dumps(line).encode() + b"\n")
+                    await writer.drain()
+                    while not server.queue_depth:  # not read yet
+                        await asyncio.sleep(0)
+                    for i in range(behind):
+                        futs.append(
+                            await server.submit_many(pages[i : i + 8])
+                        )
+                replies = [
+                    json.loads(await reader.readline()) for _ in range(rounds)
+                ]
+                await asyncio.gather(*futs)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+            return replies
+
+        replies = asyncio.run(run())
+        assert [r["t0"] for r in replies] == [
+            r * (128 + 8 * behind) for r in range(rounds)
+        ]
+        routes = {
+            e["trace"]: e["span_id"]
+            for e in sink.events
+            if e["name"] == "serve.route"
+        }
+        assert len(routes) == rounds * (1 + behind)
+        linked = {
+            e.get("trace"): e["parent_id"]
+            for e in sink.events
+            if e["name"] == "serve.reply"
+        }
+        for reply in replies:
+            trace_id = reply["t0"] + 1
+            assert linked.get(trace_id) == routes[trace_id], reply["t0"]
 
 
 class TestNetworkTracing:

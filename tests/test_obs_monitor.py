@@ -55,6 +55,26 @@ class TestWatchSimulation:
         assert len(run.monitor.samples) == expected
         assert run.monitor.samples[-1].t == trace.length
 
+    def test_group_samples_at_every_crossing(self, trace, costs):
+        """A serving group samples every ``monitor_every`` requests
+        however the stream is batched: one 1,000-request apply samples
+        at the same instants as ten 100-request ones."""
+        from repro.serve.accounting import CostLedger
+        from repro.serve.shard import ShardGroup, ShardManager
+
+        def sample_times(batch):
+            shards = ShardManager("alg-discrete", 1, K, trace.owners, costs)
+            monitor = InvariantMonitor(costs)
+            group = ShardGroup(
+                shards, CostLedger(shards.num_users, costs), monitor, 100
+            )
+            pages = trace.requests[:1000].tolist()
+            for t0 in range(0, 1000, batch):
+                group.apply(pages[t0 : t0 + batch], range(t0, t0 + batch))
+            return [s.t for s in monitor.samples]
+
+        assert sample_times(1000) == sample_times(100) == list(range(100, 1001, 100))
+
     def test_every_must_be_positive(self, trace, costs):
         with pytest.raises(ValueError, match="every"):
             watch_simulation(

@@ -8,6 +8,7 @@ and under fault injection that cancels the consumer task mid-stream.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 
 import numpy as np
@@ -24,7 +25,8 @@ from repro.serve import (
     page_hash,
     replay_tcp,
 )
-from repro.sim import simulate
+from repro.serve.shard import shard_slots, shard_table
+from repro.sim import Trace, simulate
 from repro.workloads.builders import random_multi_tenant_trace, zipf_trace
 
 
@@ -368,3 +370,143 @@ class TestTcpFrontEnd:
         assert batch_detail["ok"] and len(batch_detail["hit_flags"]) == 3
         for reply in not_objects:
             assert not reply["ok"] and reply["error"], reply
+
+
+def sharded_hits(trace, policy, k, num_shards):
+    """Per-request hit flags of an S-shard server, from ``simulate()``
+    run on each shard's subsequence of *trace*."""
+    shard_of = shard_table(trace.num_pages, num_shards)[trace.requests]
+    flags = np.zeros(trace.length, dtype=bool)
+    for sid, slots in enumerate(shard_slots(k, num_shards)):
+        idx = np.nonzero(shard_of == sid)[0]
+        run = simulate(
+            Trace(trace.requests[idx], trace.owners), POLICY_REGISTRY[policy](),
+            slots, record_curve=True,
+        )
+        flags[idx] = np.diff(run.miss_curve.sum(axis=1)) == 0
+    return flags
+
+
+def batch_line(pages) -> bytes:
+    return json.dumps({"op": "batch", "pages": pages.tolist()}).encode() + b"\n"
+
+
+class TestReadAhead:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replies_in_line_order_after_half_close(self, workers):
+        """N batch lines, a malformed line, a request and a stats line,
+        written before any reply is read and followed by a half-close:
+        N + 3 replies come back in line order, the batches with
+        contiguous clocks and the hits of ``simulate()`` per shard, the
+        error in place, and stats counting every batch ahead of it.  A
+        second connection of N batch lines alone, then a half-close,
+        gets its N replies too: EOF does not drop replies still owed."""
+        n, size = 16, 128
+        trace = random_multi_tenant_trace(3, 40, 2 * n * size, seed=4)
+        # The stream as served: the request for page 0 lands between
+        # the two connections' batches.
+        served = np.insert(trace.requests, n * size, 0)
+        want = sharded_hits(Trace(served, trace.owners), "lru", 48, 2)
+        lines = [
+            batch_line(trace.requests[i * size : (i + 1) * size])
+            for i in range(2 * n)
+        ]
+
+        async def half_close(host, port, payload):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(payload)
+            await writer.drain()
+            writer.write_eof()
+            replies = [json.loads(x) for x in (await reader.read()).splitlines()]
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        async def scenario():
+            server = CacheServer(
+                "lru", 48, trace.owners, num_shards=2, workers=workers
+            )
+            await server.start()
+            host, port = await server.start_tcp()
+            first = await half_close(host, port, b"".join(lines[:n] + [
+                b"{not json\n", b'{"op": "request", "page": 0}\n',
+                b'{"op": "stats"}\n',
+            ]))
+            second = await half_close(host, port, b"".join(lines[n:]))
+            await server.stop()
+            return server, first, second
+
+        server, first, second = run(scenario())
+        assert server.workers == workers
+        assert len(first) == n + 3
+        assert len(second) == n
+        for i, reply in enumerate(first[:n] + second):
+            t0 = i * size + (i >= n)  # the request took one clock tick
+            assert reply["ok"] and reply["t0"] == t0
+            assert reply["hits"] == int(want[t0 : t0 + size].sum())
+        malformed, single, stats = first[n:]
+        assert not malformed["ok"] and "JSONDecodeError" in malformed["error"]
+        assert single["ok"] and single["t"] == n * size
+        assert stats["ok"] and stats["stats"]["time"] == n * size + 1
+        assert stats["stats"]["requests"] == n * size + 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_client_vanishing_with_batches_in_flight(self, workers):
+        """A client writes 4 batch lines and closes without reading.
+        Nothing reaches the loop's exception handler, every line the
+        server read is served exactly once, and a second connection
+        replaying the rest ends with the counters of ``simulate()`` over
+        the whole trace."""
+        size = 256
+        trace = random_multi_tenant_trace(4, 60, 12 * size, seed=6)
+        costs = [MonomialCost(2)] * trace.num_users
+
+        def misses_of(requests):
+            sub = Trace(requests, trace.owners)
+            flags = sharded_hits(sub, "lru", 64, 2)
+            return np.bincount(
+                trace.owners[requests[~flags]], minlength=trace.num_users
+            ).tolist()
+
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: errors.append(context)
+            )
+            server = CacheServer(
+                "lru", 64, trace.owners, costs, num_shards=2, workers=workers
+            )
+            await server.start()
+            host, port = await server.start_tcp()
+            _reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(
+                batch_line(trace.requests[i * size : (i + 1) * size])
+                for i in range(4)
+            ))
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            # Settled: the clock has stopped and nothing is queued.
+            seen, still = -1, 0
+            while still < 5:
+                await asyncio.sleep(0.02)
+                still = still + 1 if server.time == seen else 0
+                seen = server.time
+            await server.drain()
+            served = server.time
+            first = [row["misses"] for row in server.stats()["tenants"]]
+            final = await replay_tcp(
+                host, port, Trace(trace.requests[served:], trace.owners)
+            )
+            await server.stop()
+            gc.collect()
+            return errors, served, first, final
+
+        errors, served, first, final = run(scenario())
+        assert errors == []
+        assert served % size == 0 and served <= 4 * size
+        assert first == misses_of(trace.requests[:served])
+        assert final["time"] == trace.length
+        assert [row["misses"] for row in final["tenants"]] == misses_of(
+            trace.requests
+        )
