@@ -28,6 +28,17 @@ Per-request mechanics
    admissions charge their node's uplink ``write_delay`` to the
    write-cost ledger (write-behind — not on the request path).
 
+The walk runs at list speed.  When the ingress leaf depends on the page
+alone (one leaf, ``hash``, ``tenant``), each page's leaf is resolved
+once per run into a table; round-robin and callables stay per request.
+Each leaf's route is bound once, as the tuple of its caches' node
+states.  Per-tenant ledgers and origin fetches are plain lists, handed
+out as int64 arrays.  To-origin latency is counted per (leaf, hop
+position), the only latencies a topology has, and folded into the
+:class:`~repro.net.metrics.LatencyDist` once per run.  So a request
+costs list indexing plus the policy hooks it needs; nearest-copy
+routing keeps its per-request route and latency sample.
+
 Degenerate equivalence (test-enforced for every registered policy):
 a single-node topology run is **bit-identical** to
 :func:`repro.sim.engine.simulate` — same hits, misses, per-tenant miss
@@ -77,11 +88,16 @@ INGRESS_MODES = ("auto", "hash", "rr", "tenant")
 PolicySpec = Union[str, Callable[..., EvictionPolicy]]
 
 class _NodeState:
-    """Runtime state of one cache node (engine mechanics, stepwise)."""
+    """Runtime state of one cache node (engine mechanics, stepwise).
+
+    The ledgers are plain per-tenant lists, so a probe costs one list
+    increment; :meth:`stats` derives the hit, miss and rejection
+    counts from them and hands them out as int64 arrays.  ``on_hit``
+    is bound from the policy instance when the state is built."""
 
     __slots__ = (
-        "node_id", "name", "k", "policy", "res", "size", "validate",
-        "hits", "misses", "rejected", "admissions", "evictions",
+        "node_id", "name", "k", "policy", "on_hit", "res", "size",
+        "validate", "admissions", "evictions",
         "tenant_hits", "tenant_misses", "tenant_rejected", "write_cost",
         "uplink_write_delay",
         "queue_capacity", "drain_rate", "queue_len", "queue_last_t",
@@ -105,18 +121,16 @@ class _NodeState:
         self.name = name
         self.k = k
         self.policy = policy
+        self.on_hit = policy.on_hit
         self.res = [False] * max(num_pages, 1)
         self.size = 0
         self.validate = validate
-        self.hits = 0
-        self.misses = 0
-        self.rejected = 0
         self.admissions = 0
         self.evictions = 0
         self.write_cost = 0.0
-        self.tenant_hits = np.zeros(max(num_users, 1), dtype=np.int64)
-        self.tenant_misses = np.zeros(max(num_users, 1), dtype=np.int64)
-        self.tenant_rejected = np.zeros(max(num_users, 1), dtype=np.int64)
+        self.tenant_hits = [0] * max(num_users, 1)
+        self.tenant_misses = [0] * max(num_users, 1)
+        self.tenant_rejected = [0] * max(num_users, 1)
         self.uplink_write_delay = uplink_write_delay
         self.queue_capacity = queue_capacity
         self.drain_rate = drain_rate
@@ -202,16 +216,16 @@ class _NodeState:
             name=self.name,
             k=self.k,
             policy=policy_name,
-            hits=self.hits,
-            misses=self.misses,
-            rejected=self.rejected,
+            hits=sum(self.tenant_hits),
+            misses=sum(self.tenant_misses),
+            rejected=sum(self.tenant_rejected),
             admissions=self.admissions,
             evictions=self.evictions,
             write_cost=self.write_cost,
-            tenant_hits=self.tenant_hits,
-            tenant_misses=self.tenant_misses,
-            tenant_rejected=self.tenant_rejected,
-            final_cache=[p for p, r in enumerate(self.res) if r],
+            tenant_hits=np.array(self.tenant_hits, dtype=np.int64),
+            tenant_misses=np.array(self.tenant_misses, dtype=np.int64),
+            tenant_rejected=np.array(self.tenant_rejected, dtype=np.int64),
+            final_cache=list(itertools.compress(itertools.count(), self.res)),
             queue_peak=self.queue_peak,
         )
 
@@ -372,11 +386,16 @@ class NetworkSim:
         seed = None if self.policy_seed is None else self.policy_seed + node_id
         return make_policy_instance(factory, seed)
 
-    def _ingress_fn(
-        self, trace, owners: np.ndarray
-    ) -> Callable[[int, int], int]:
+    def _ingress(
+        self, num_pages: int, owners: np.ndarray
+    ) -> Tuple[Optional[List[int]], Optional[Callable[[int, int], int]]]:
+        """Resolve the ingress mode for one run: ``(table, None)`` when
+        the leaf depends on the page alone (``table[page]`` is its
+        leaf), else ``(None, fn)`` with ``fn(page, t)`` called per
+        request (round-robin and callables)."""
         leaves = self.topology.ingress
         mode = self.ingress_mode
+        n = len(leaves)
         if callable(mode):
             valid = frozenset(leaves)
 
@@ -390,23 +409,22 @@ class NetworkSim:
                     )
                 return v
 
-            return checked
-        if mode == "auto":
-            mode = "hash" if len(leaves) > 1 else "single"
-        if mode == "single" or len(leaves) == 1:
-            only = leaves[0]
-            return lambda page, t: only
-        n = len(leaves)
-        if mode == "hash":
-            # The serve layer's splitmix64 placement, so ingress routing
-            # is stable across processes and runs.
-            from repro.serve.shard import page_hash
-
-            return lambda page, t: leaves[page_hash(page) % n]
+            return None, checked
+        if n == 1:
+            return [leaves[0]] * max(num_pages, 1), None
         if mode == "rr":
-            return lambda page, t: leaves[t % n]
-        # tenant-affine: every tenant enters at a fixed leaf.
-        return lambda page, t: leaves[int(owners[page]) % n]
+            return None, lambda page, t: leaves[t % n]
+        if mode == "tenant":
+            # tenant-affine: every tenant enters at a fixed leaf.
+            idx = np.asarray(owners, dtype=np.int64) % n
+        else:
+            # "hash" (and "auto" over several leaves): the serve layer's
+            # splitmix64 placement, so ingress routing is stable across
+            # processes and runs.
+            from repro.serve.shard import shard_table
+
+            idx = shard_table(num_pages, n)
+        return np.asarray(leaves, dtype=np.int64)[idx].tolist(), None
 
     # ------------------------------------------------------------------
     def run(
@@ -626,14 +644,29 @@ class NetworkSim:
 
         strategy = self.strategy
         strategy.reset(topo, self.seed)
+        admit = strategy.admit
         routing = self.routing
         routing.reset(topo, lambda v, page: states[v].res[page])
         walk_to_origin = isinstance(routing, RouteToOrigin)
 
-        ingress_of = self._ingress_fn(trace, owners)
+        table, ingress_of = self._ingress(num_pages, owners)
         origin = topo.origin
-        routes = {v: topo.route(v) for v in topo.ingress}
-        prefix = {v: topo.prefix_read_delay(v) for v in topo.ingress}
+        # Each leaf's lane: the states of the caches on its route, the
+        # requests served at each hop position (the last one is the
+        # origin), and the prefix read delays that price those hops.
+        lanes = {}
+        for v in topo.ingress:
+            route = topo.route(v)
+            lanes[v] = (
+                tuple(states[u] for u in route[:-1]),
+                [0] * len(route),
+                topo.prefix_read_delay(v),
+            )
+        # (counts, position, one-way delay) of each hop position, in the
+        # order of the first request it served: folding in that order
+        # fills the latency mass as one add per request would, so
+        # ``mean()`` sums it in the same order.
+        first: List[Tuple[List[int], int, float]] = []
         # Pair delays over tree edges, both directions (nearest-copy
         # paths cross edges downward too).
         pair_delay: Dict[Tuple[int, int], float] = {}
@@ -642,44 +675,44 @@ class NetworkSim:
             pair_delay[(link.dst, link.src)] = link.read_delay
 
         latency = LatencyDist()
-        origin_fetches = np.zeros(max(num_users, 1), dtype=np.int64)
+        origin_fetches = [0] * max(num_users, 1)
         total = 0
         miss_path: List[int] = []
 
         for base, chunk in trace.batches(batch):
             pages = chunk.tolist()
-            for i, page in enumerate(pages):
-                t = base + i
+            t = base
+            for page in pages:
                 tenant = owners_l[page]
-                v0 = ingress_of(page, t)
-                del miss_path[:]
-                hit_node = -1
-                lat = 0.0
+                v0 = table[page] if table is not None else ingress_of(page, t)
+                hit_node = origin
 
                 if walk_to_origin:
-                    route = routes[v0]
-                    pre = prefix[v0]
-                    for j, v in enumerate(route):
-                        if v == origin:
-                            lat = pre[j]
-                            break
-                        st = states[v]
+                    route, counts, pre = lanes[v0]
+                    # j is the hop position: a rejection advances it too,
+                    # since the request still crosses that link.
+                    j = 0
+                    for st in route:
                         if st.queue_capacity is not None and not st.queue_admits(t):
-                            st.rejected += 1
                             st.tenant_rejected[tenant] += 1
+                            j += 1
                             continue
                         if st.res[page]:
-                            st.hits += 1
                             st.tenant_hits[tenant] += 1
-                            st.policy.on_hit(page, t)
+                            st.on_hit(page, t)
                             if st.fl_append is not None:
                                 st.fl_append((t, page, 0))
-                            hit_node = v
-                            lat = pre[j]
+                            hit_node = st.node_id
                             break
-                        st.misses += 1
                         st.tenant_misses[tenant] += 1
-                        miss_path.append(v)
+                        miss_path.append(st.node_id)
+                        j += 1
+                    else:
+                        origin_fetches[tenant] += 1
+                    c = counts[j]
+                    if not c:
+                        first.append((counts, j, pre[j]))
+                    counts[j] = c + 1
                 else:
                     # Strategy-chosen route; if every probed cache
                     # rejects or misses and the route did not end at
@@ -692,6 +725,7 @@ class NetworkSim:
                     if route[-1] != origin:
                         tail = topo.route(route[-1])[1:]
                         route.extend(tail)
+                    lat = 0.0
                     prev = None
                     visited = set()
                     for v in route:
@@ -705,33 +739,32 @@ class NetworkSim:
                         visited.add(v)
                         st = states[v]
                         if st.queue_capacity is not None and not st.queue_admits(t):
-                            st.rejected += 1
                             st.tenant_rejected[tenant] += 1
                             continue
                         if st.res[page]:
-                            st.hits += 1
                             st.tenant_hits[tenant] += 1
-                            st.policy.on_hit(page, t)
+                            st.on_hit(page, t)
                             if st.fl_append is not None:
                                 st.fl_append((t, page, 0))
                             hit_node = v
                             break
-                        st.misses += 1
                         st.tenant_misses[tenant] += 1
                         miss_path.append(v)
-
-                if hit_node < 0:
-                    hit_node = origin
-                    origin_fetches[tenant] += 1
-                latency.add(2.0 * lat)
+                    if hit_node == origin:
+                        origin_fetches[tenant] += 1
+                    latency.add(2.0 * lat)
 
                 if miss_path:
-                    for v in strategy.admit(miss_path, hit_node, page, t):
+                    for v in admit(miss_path, hit_node, page, t):
                         st = states[v]
                         if st.insert(page, tenant, t):
                             st.write_cost += st.uplink_write_delay
+                    miss_path = []
+                t += 1
             total += len(pages)
 
+        for counts, j, delay in first:
+            latency.add(2.0 * delay, counts[j])
         node_stats = [
             states[spec.node_id].stats(instances[spec.node_id].name)
             for spec in cache_nodes
@@ -743,7 +776,7 @@ class NetworkSim:
             trace_name=getattr(trace, "name", "trace"),
             total_requests=total,
             nodes=node_stats,
-            origin_fetches=origin_fetches,
+            origin_fetches=np.array(origin_fetches, dtype=np.int64),
             latency=latency,
             write_cost=sum(n.write_cost for n in node_stats),
         )

@@ -139,7 +139,7 @@ def _node_worker(recv, send, result, cfg) -> None:
         tenant_misses = st.tenant_misses
         tenant_rejected = st.tenant_rejected
         fl_append = st.fl_append
-        on_hit = policy.on_hit
+        on_hit = st.on_hit
         uplink_wd = st.uplink_write_delay
 
         while True:
@@ -167,20 +167,17 @@ def _node_worker(recv, send, result, cfg) -> None:
             out_f: List[bool] = []
             for t, page, missed_below in items:
                 if queue_capacity is not None and not st.queue_admits(t):
-                    st.rejected += 1
                     tenant_rejected[owners_l[page]] += 1
                     out_t.append(t)
                     out_p.append(page)
                     out_f.append(missed_below)
                     continue
                 if res[page]:
-                    st.hits += 1
                     tenant_hits[owners_l[page]] += 1
                     on_hit(page, t)
                     if fl_append is not None:
                         fl_append((t, page, 0))
                     continue
-                st.misses += 1
                 tenant_misses[owners_l[page]] += 1
                 if admit_local(node_id, missed_below, page, t):
                     if st.insert(page, owners_l[page], t):

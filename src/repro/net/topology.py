@@ -25,6 +25,7 @@ documents the format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,9 +77,10 @@ class NodeSpec:
             raise ValueError(f"{self.name}: k must be >= 0, got {self.k}")
         if self.queue_capacity is not None:
             check_positive_int(self.queue_capacity, "queue_capacity")
-        if self.drain_rate <= 0:
+        if not math.isfinite(self.drain_rate) or self.drain_rate <= 0:
             raise ValueError(
-                f"{self.name}: drain_rate must be > 0, got {self.drain_rate}"
+                f"{self.name}: drain_rate must be finite and > 0, "
+                f"got {self.drain_rate}"
             )
 
 
@@ -101,10 +103,13 @@ class Link:
     def validate(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"self-link at node {self.src}")
-        if self.read_delay < 0 or self.write_delay < 0:
-            raise ValueError(
-                f"link {self.src}->{self.dst}: delays must be >= 0"
-            )
+        for field_name in ("read_delay", "write_delay"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(
+                    f"link {self.src}->{self.dst}: delays must be finite "
+                    f"and >= 0, got {field_name}={value}"
+                )
 
 
 class Topology:
@@ -314,26 +319,33 @@ class Topology:
 
     @classmethod
     def from_json(cls, text: str) -> "Topology":
+        """Decode a :meth:`to_json` document.
+
+        Ids and ``k`` must be JSON integers and delays and drain rates
+        JSON numbers; a malformed document raises ``ValueError`` naming
+        the node or link and the field."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("topology document must be a JSON object")
         nodes = [
             NodeSpec(
-                node_id=int(row["id"]),
-                name=str(row.get("name", f"node{row['id']}")),
-                k=int(row["k"]),
-                policy=row.get("policy"),
-                queue_capacity=row.get("queue_capacity"),
-                drain_rate=float(row.get("drain_rate", 1.0)),
+                node_id=_field(row, "id", int, where),
+                name=_field(row, "name", str, where, f"node{row.get('id')}"),
+                k=_field(row, "k", int, where),
+                policy=_field(row, "policy", str, where, None),
+                queue_capacity=_field(row, "queue_capacity", int, where, None),
+                drain_rate=_field(row, "drain_rate", float, where, 1.0),
             )
-            for row in doc["nodes"]
+            for row, where in _rows(doc, "nodes")
         ]
         links = [
             Link(
-                src=int(row["src"]),
-                dst=int(row["dst"]),
-                read_delay=float(row.get("read_delay", 1.0)),
-                write_delay=float(row.get("write_delay", 0.0)),
+                src=_field(row, "src", int, where),
+                dst=_field(row, "dst", int, where),
+                read_delay=_field(row, "read_delay", float, where, 1.0),
+                write_delay=_field(row, "write_delay", float, where, 0.0),
             )
-            for row in doc["links"]
+            for row, where in _rows(doc, "links")
         ]
         return cls(nodes, links)
 
@@ -366,6 +378,40 @@ class Topology:
             f"k_total={self.total_cache_capacity}, "
             f"ingress={list(self.ingress)})"
         )
+
+
+_MISSING = object()
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _rows(doc: dict, key: str):
+    """``(row, where)`` for each object of ``doc[key]``; *where* names
+    the row in errors (``node 2``, ``link 0``)."""
+    rows = doc.get(key)
+    if not isinstance(rows, list):
+        raise ValueError(f"topology document needs a {key!r} list")
+    for i, row in enumerate(rows):
+        where = f"{key[:-1]} {i}"
+        if not isinstance(row, dict):
+            raise ValueError(f"{where}: must be a JSON object")
+        yield row, where
+
+
+def _field(row: dict, name: str, kind: type, where: str, default=_MISSING):
+    """``row[name]`` as a JSON integer, number (returned as float) or
+    string; *default* when absent (or null, where the default is
+    ``None``).  Bools are not numbers here."""
+    value = row.get(name)
+    if value is None and (name not in row or default is None):
+        if default is _MISSING:
+            raise ValueError(f"{where}: missing field {name!r}")
+        return default
+    numeric = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        raise ValueError(
+            f"{where}: {name!r} must be {_JSON_KINDS[kind]}, got {value!r}"
+        )
+    return float(value) if kind is float else value
 
 
 # ----------------------------------------------------------------------

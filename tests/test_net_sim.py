@@ -378,3 +378,77 @@ class TestSimulateManyColstorePaths:
         from repro.sim.driver import resolve_trace
 
         assert resolve_trace(trace) is trace
+
+
+class TestQueuedPathSmoke:
+    """A queued 3-cache path under Zipf 0.9 over 2,000 pages, 50k
+    requests: the aggregates, the Prometheus scrape and the per-node
+    pipeline all agree with the per-node ledgers."""
+
+    @pytest.fixture(scope="class")
+    def smoke(self):
+        from repro.workloads.builders import zipf_trace as build
+
+        trace = build(2_000, 50_000, skew=0.9, seed=0)
+        costs = [MonomialCost(2)] * trace.num_users
+        topo = path_topology(3, 128).with_queues(64, drain_rate=0.9)
+        return trace, costs, topo
+
+    @pytest.fixture(scope="class")
+    def lcd_run(self, smoke):
+        from repro.obs import Observability
+
+        trace, costs, topo = smoke
+        obs = Observability.enabled()
+        sim = NetworkSim(topo, "lru", strategy="lcd", costs=costs, obs=obs)
+        return sim.run(trace), obs
+
+    def test_aggregates_equal_per_node_ledgers(self, smoke, lcd_run):
+        trace = smoke[0]
+        result, _ = lcd_run
+        result.check_conservation()
+        assert result.network_hits == sum(n.hits for n in result.nodes)
+        assert result.rejected_total == sum(n.rejected for n in result.nodes)
+        assert result.rejected_total > 0
+        assert result.origin_total == int(result.origin_fetches.sum())
+        assert result.network_hits + result.origin_total == trace.length
+        assert result.latency.total == trace.length
+        for n in result.nodes:
+            assert n.tenant_hits[: trace.num_users].sum() == n.hits
+            assert n.tenant_misses[: trace.num_users].sum() == n.misses
+
+    def test_scrape_equals_ledgers(self, lcd_run):
+        from repro.obs.export import (
+            parse_prometheus,
+            render_prometheus,
+            sample_value,
+        )
+
+        result, obs = lcd_run
+        samples = parse_prometheus(render_prometheus(obs.registry))
+        for node in result.nodes:
+            got = sample_value(samples, "net_node_hits_total", node=node.name)
+            assert got == float(node.hits), node.name
+
+    def test_per_node_equals_serial_on_queued_lce_path(self, smoke):
+        # LCE: LCD needs the hit position, so it runs serially only.
+        trace, costs, topo = smoke
+        ser = NetworkSim(topo, "lru", strategy="lce", costs=costs).run(trace)
+        par = NetworkSim(topo, "lru", strategy="lce", costs=costs).run(
+            trace, workers="per-node"
+        )
+        assert [(n.hits, n.misses, n.rejected) for n in par.nodes] == [
+            (n.hits, n.misses, n.rejected) for n in ser.nodes
+        ]
+        assert par.latency == ser.latency
+
+    def test_conservation_under_default_telemetry(self, smoke):
+        # Run with the process default bundle, so the REPRO_OBS=off
+        # tier-1 pass checks the same ledgers with telemetry off.
+        trace, costs, topo = smoke
+        result = simulate_network(
+            topo, trace, "lru", costs=costs, strategy="lcd"
+        )
+        result.check_conservation()
+        assert result.network_hits == sum(n.hits for n in result.nodes)
+        assert result.network_hits + result.origin_total == trace.length

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.net.topology import (
@@ -151,3 +153,95 @@ class TestSerialization:
         topo = path_topology(2, 4).with_queues(3)
         assert topo.node(topo.origin).queue_capacity is None
         assert all(n.queue_capacity == 3 for n in topo.cache_nodes)
+
+
+def _doc(**edits):
+    """A valid one-cache document with *edits* applied: ``node0`` /
+    ``link0`` update (or, for ``None`` values, drop) fields of the
+    cache node / its link; ``doc`` replaces the whole document."""
+    doc = json.loads(path_topology(1, 4).with_queues(2).to_json())
+    if "doc" in edits:
+        return json.dumps(edits["doc"])
+    for key, row in (("node0", doc["nodes"][0]), ("link0", doc["links"][0])):
+        for name, value in edits.get(key, {}).items():
+            if value is None:
+                row.pop(name, None)
+            else:
+                row[name] = value
+    return json.dumps(doc)
+
+
+class TestFromJsonRefusals:
+    """Documents the decoder must refuse with a ValueError naming the
+    node or link and the field."""
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            pytest.param(_doc(node0={"k": 4.9}), r"node 0: 'k' must be an integer", id="k-float"),
+            pytest.param(_doc(node0={"k": "4"}), r"node 0: 'k' must be an integer", id="k-string"),
+            pytest.param(_doc(node0={"k": True}), r"node 0: 'k' must be an integer", id="k-bool"),
+            pytest.param(_doc(node0={"id": 0.0}), r"node 0: 'id' must be an integer", id="id-float"),
+            pytest.param(_doc(node0={"k": None}), r"node 0: missing field 'k'", id="k-missing"),
+            pytest.param(_doc(node0={"id": None}), r"node 0: missing field 'id'", id="id-missing"),
+            pytest.param(_doc(node0={"name": 7}), r"node 0: 'name' must be a string", id="name-number"),
+            pytest.param(
+                _doc(node0={"drain_rate": float("nan")}),
+                r"edge: drain_rate must be finite",
+                id="drain-rate-nan",
+            ),
+            pytest.param(
+                _doc(node0={"drain_rate": "1"}),
+                r"node 0: 'drain_rate' must be a number",
+                id="drain-rate-string",
+            ),
+            pytest.param(
+                _doc(link0={"read_delay": float("nan")}),
+                r"link 0->1: .*read_delay=nan",
+                id="read-delay-nan",
+            ),
+            pytest.param(
+                _doc(link0={"write_delay": float("inf")}),
+                r"link 0->1: .*write_delay=inf",
+                id="write-delay-inf",
+            ),
+            pytest.param(
+                _doc(link0={"read_delay": "1.0"}),
+                r"link 0: 'read_delay' must be a number",
+                id="read-delay-string",
+            ),
+            pytest.param(_doc(link0={"src": 0.5}), r"link 0: 'src' must be an integer", id="src-float"),
+            pytest.param(_doc(link0={"dst": None}), r"link 0: missing field 'dst'", id="dst-missing"),
+            pytest.param(_doc(doc=[]), r"must be a JSON object", id="doc-list"),
+            pytest.param(_doc(doc={"links": []}), r"needs a 'nodes' list", id="nodes-missing"),
+            pytest.param(
+                _doc(doc={"nodes": [3], "links": []}),
+                r"node 0: must be a JSON object",
+                id="node-not-object",
+            ),
+        ],
+    )
+    def test_refused(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            Topology.from_json(text)
+
+    def test_factories_refuse_non_finite_delays(self):
+        with pytest.raises(ValueError, match="finite"):
+            path_topology(2, 4, read_delay=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            path_topology(2, 4).with_queues(2, drain_rate=float("inf"))
+
+    @pytest.mark.parametrize(
+        "topo",
+        [
+            path_topology(3, [4, 8, 16], read_delay=0.3, write_delay=0.7),
+            tree_topology(3, 2, [2, 5], origin_delay=2.5),
+            edge_origin_topology(3, [1, 2, 3], read_delay=4.0),
+            single_node_topology(8, origin_delay=3.0),
+            path_topology(2, 4).with_queues(3, drain_rate=0.25),
+        ],
+    )
+    def test_factory_topologies_round_trip(self, topo):
+        loaded = Topology.from_json(topo.to_json())
+        assert loaded.nodes == topo.nodes
+        assert loaded.links == topo.links
