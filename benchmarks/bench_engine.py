@@ -1,16 +1,18 @@
 """Engine and data-structure microbenchmarks (ablation support).
 
-The DESIGN.md performance claim for the two-level budget index —
+The DESIGN.md performance claim for ALG-DISCRETE's lazy budget state —
 O(log k + log n) per eviction instead of O(k) — is exercised here by
-benchmarking the index against a churn workload, alongside heap and
-workload-generation kernels.
+benchmarking the policy's eviction path against a churn workload,
+alongside heap and workload-generation kernels.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.budget_index import BudgetIndex
+from repro.core.alg_discrete import AlgDiscrete
+from repro.core.cost_functions import LinearCost, MonomialCost
 from repro.policies import POLICY_REGISTRY
+from repro.sim.policy import SimContext
 from repro.sim.driver import simulate_many
 from repro.sim.engine import simulate
 from repro.util.heap import AddressableHeap
@@ -33,23 +35,28 @@ def test_bench_heap_churn(benchmark):
     assert benchmark(churn) == 2_000
 
 
-def test_bench_budget_index_eviction_loop(benchmark):
-    """The ALG-DISCRETE hot loop shape: insert, evict-min, subtract,
-    uplift — 8k rounds over 4 users x 512 resident pages."""
-    rng = np.random.default_rng(1)
-    budgets = rng.uniform(0.5, 2.0, size=20_000)
+def test_bench_alg_discrete_eviction_loop(benchmark):
+    """ALG-DISCRETE's miss path: choose_victim, on_evict (the y jump and
+    the same-user uplift), on_insert — 8k rounds over 4 users x 512
+    resident pages, with uneven linear and monomial costs."""
+    pages = 2_048 + 8_000
+    ctx = SimContext(
+        k=2_048,
+        owners=np.arange(pages) % 4,
+        num_users=4,
+        costs=[LinearCost(1.5), MonomialCost(2), LinearCost(0.75), MonomialCost(3)],
+    )
 
     def loop():
-        idx = BudgetIndex()
+        alg = AlgDiscrete()
+        alg.reset(ctx)
         for p in range(2_048):
-            idx.insert(p, p % 4, float(budgets[p]))
-        for i in range(8_000):
-            page, user, b = idx.min_page()
-            idx.remove(page)
-            idx.subtract_from_all(b)
-            idx.uplift_user(user, 0.01)
-            idx.insert(2_048 + i, (2_048 + i) % 4, float(budgets[(2_048 + i) % 20_000]))
-        return len(idx)
+            alg.on_insert(p, p)
+        for p in range(2_048, pages):
+            victim = alg.choose_victim(p, p)
+            alg.on_evict(victim, p)
+            alg.on_insert(p, p)
+        return len(alg.resident_budgets())
 
     assert benchmark(loop) == 2_048
 

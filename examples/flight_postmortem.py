@@ -60,7 +60,7 @@ def main():
         if t == INJECT_AT:
             # The injected fault: every resident page silently loses
             # 1e9 of dual budget (e.g. a botched rebalance).
-            policy._index.subtract_from_all(1e9)
+            policy._y += 1e9
             print(f"[t={t}] >>> injected budget corruption <<<")
         # Sample BEFORE serving: ALG-DISCRETE's eviction step
         # re-normalizes all budgets, so the first post-injection

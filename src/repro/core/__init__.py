@@ -7,7 +7,6 @@ lower-bound construction.
 from repro.core.alg_continuous import AlgContinuous
 from repro.core.alg_discrete import DERIVATIVE_MODES, AlgDiscrete
 from repro.core.alg_discrete_naive import NaiveAlgDiscrete
-from repro.core.budget_index import BudgetIndex
 from repro.core.fractional_online import (
     FractionalRunResult,
     OnlineFractionalCaching,
@@ -70,7 +69,6 @@ __all__ = [
     "AlgDiscrete",
     "NaiveAlgDiscrete",
     "DERIVATIVE_MODES",
-    "BudgetIndex",
     "AlgContinuous",
     "OnlineFractionalCaching",
     "FractionalRunResult",

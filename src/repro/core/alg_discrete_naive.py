@@ -6,10 +6,11 @@ page individually, step 4's uplift likewise.  It exists for two
 purposes:
 
 * **differential testing** — the optimised
-  :class:`~repro.core.alg_discrete.AlgDiscrete` (two-level lazy budget
-  index) must make identical eviction decisions (enforced in
-  ``tests/test_alg_naive.py``), so any bug in the lazy-offset algebra
-  would surface against this straight-line version;
+  :class:`~repro.core.alg_discrete.AlgDiscrete` (lazy offsets over
+  per-user heaps and a lazily synced tenant heap) must make identical
+  eviction decisions (enforced in ``tests/test_alg_naive.py``), so any
+  bug in the lazy-offset algebra or the tenant-heap sync would surface
+  against this straight-line version;
 * **the scaling ablation (experiment E14)** — it is the O(k)-per-miss
   baseline that shows what the budget index buys.
 
@@ -82,7 +83,7 @@ class NaiveAlgDiscrete(EvictionPolicy):
         return self._gradient(user, int(self.evictions_by_user[user]) + 1)
 
     def _note_user_presence(self, user: int) -> None:
-        """Mirror the optimised index's top-heap tie-breaking: a user's
+        """Mirror the optimised tenant heap's tie-breaking: a user's
         entry sequence number is assigned when it (re)appears in the
         top structure — i.e. when it goes from zero resident pages to
         one — and dropped when its last page leaves."""
@@ -108,7 +109,8 @@ class NaiveAlgDiscrete(EvictionPolicy):
 
     def choose_victim(self, page: int, t: int) -> int:
         # Per-user best page: (budget, page_seq); across users:
-        # (budget, user_entry_seq) — mirrors the two-level index.
+        # (budget, user_entry_seq) — mirrors the per-user heaps and the
+        # tenant heap.
         best_by_user: Dict[int, int] = {}
         for p in self._budget:
             u = int(self._owners[p])

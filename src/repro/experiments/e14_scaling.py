@@ -1,4 +1,4 @@
-"""E14 — scaling ablation: the two-level budget index vs naive Fig. 3.
+"""E14 — scaling ablation: ALG-DISCRETE's lazy budget index vs naive Fig. 3.
 
 DESIGN.md claims the lazy budget index makes a full-cache miss cost
 ``O(log k + log n)`` instead of the naive O(k).  This experiment

@@ -17,8 +17,8 @@ observability products:
    ledger through scrape-time collectors rather than shadow counters.
 3. **Drift monitoring** — an :class:`~repro.obs.InvariantMonitor`
    sampling a real ALG-DISCRETE run raises no flags, while an injected
-   budget violation (uniform subtraction on the live budget index) is
-   caught on the next sample.
+   budget violation (a uniform subtraction: the live dual offset y
+   raised by 1e9) is caught on the next sample.
 4. **Price of observation** — fast-engine throughput with an enabled
    bundle stays within a generous factor of the disabled run (the
    precise <3%/<5% bars are enforced by ``benchmarks`` and snapshotted
@@ -168,7 +168,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentOutput:
     watched = watch_simulation(trace, policy, k, costs, every=500)
     monitor = watched.monitor
     clean = monitor.ok and len(monitor.samples) > 0
-    policy._index.subtract_from_all(1e9)  # inject: lost budget uplift
+    policy._y += 1e9  # inject: lost budget uplift
     monitor.sample(length + 1, watched.user_misses, policies=(policy,))
     caught = (not monitor.ok) and any(
         f.kind == "budget-nonneg" for f in monitor.flags

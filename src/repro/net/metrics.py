@@ -27,6 +27,7 @@ the node's hit/miss ledgers do not move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -57,10 +58,12 @@ class LatencyDist:
         return sum(self.mass.values())
 
     def mean(self) -> float:
+        """Exact-rounded mean: ``fsum`` makes it a function of the mass
+        alone, not of the order in which values were first added."""
         total = self.total
         if not total:
             return 0.0
-        return sum(v * c for v, c in self.mass.items()) / total
+        return math.fsum(v * c for v, c in self.mass.items()) / total
 
     def max(self) -> float:
         return max(self.mass) if self.mass else 0.0

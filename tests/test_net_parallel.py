@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.cost_functions import MonomialCost
 from repro.net import NetworkSim, path_topology, tree_topology
+from repro.net.metrics import LatencyDist
+from repro.net.topology import Link, Topology
 from repro.obs.flight import verify_flight
 from repro.workloads import zipf_trace
 
@@ -85,6 +87,35 @@ class TestSerialParallelEquivalence:
         for node_id, fl in sim.flights.items():
             check = verify_flight(fl, trace.owners)
             assert check.ok, f"node {node_id}: {check.mismatches[:3]}"
+
+
+class TestLatencyMean:
+    def test_mean_ignores_insertion_order(self):
+        pairs = [(6.0392, 7), (12.2964, 3), (12.9516, 11), (0.6552, 5)]
+        forward, backward = LatencyDist(), LatencyDist()
+        for value, count in pairs:
+            forward.add(value, count)
+        for value, count in reversed(pairs):
+            backward.add(value, count)
+        assert forward == backward
+        assert forward.mean() == backward.mean()
+
+    def test_serial_and_per_node_report_one_mean(self):
+        """The serial walk adds latencies in first-served order, the
+        per-node pipeline in node order: equal mass must give one mean
+        (this seed read 10.11962288 and 10.119622880000001 when the mean
+        summed in insertion order)."""
+        base = path_topology(3, K)
+        delays = (3.0196, 3.1286, 0.3276)
+        links = [Link(i, i + 1, read_delay=d) for i, d in enumerate(delays)]
+        topo = Topology(base.nodes, links)
+        trace = zipf_trace(num_pages=300, length=5_000, skew=0.8, seed=7)
+        serial = NetworkSim(topo, "lru", strategy="lce").run(trace)
+        parallel = NetworkSim(topo, "lru", strategy="lce").run(
+            trace, workers="per-node"
+        )
+        assert serial.latency == parallel.latency
+        assert serial.latency.mean() == parallel.latency.mean()
 
 
 class TestPreconditions:

@@ -4,8 +4,9 @@ Two acceptance properties from the PR spec are enforced here:
 
 * a clean ALG-DISCRETE run raises **no** drift flags, while
   ``watch_simulation`` stays bit-identical to ``simulate()``;
-* an injected budget violation (a uniform subtraction on the live
-  budget index — the "lost uplift" failure mode) **is** caught.
+* an injected budget violation (a uniform subtraction: the live dual
+  offset y raised by 1e9 — the "lost uplift" failure mode) **is**
+  caught.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class TestInjectedViolations:
         assert mon.ok
         # Inject the drift: a uniform subtraction pushes the minimum
         # resident budget negative without touching any other state.
-        policy._index.subtract_from_all(1e9)
+        policy._y += 1e9
         mon.sample(trace.length + 1, run.user_misses, policies=(policy,))
         assert not mon.ok
         kinds = {f.kind for f in mon.flags}
