@@ -38,7 +38,7 @@ comparisons in tests use dyadic inputs.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from repro.core.alg_discrete import AlgDiscrete
 from repro.core.ledger import PrimalDualLedger
@@ -70,9 +70,6 @@ class AlgContinuous(AlgDiscrete):
             )
         super().__init__(derivative_mode)
         self.ledger: Optional[PrimalDualLedger] = None
-        #: Pages whose *current* interval has x = 1 (outside the cache,
-        #: requested before) — the set whose z rises with y.
-        self._evicted_now: Set[int] = set()
         #: The page being served when an eviction is in flight; the
         #: paper excludes p_t from the z-raise.
         self._pending_request: Optional[int] = None
@@ -83,7 +80,6 @@ class AlgContinuous(AlgDiscrete):
         self.ledger = PrimalDualLedger(
             num_pages=ctx.num_pages, num_users=ctx.num_users, T=ctx.horizon
         )
-        self._evicted_now = set()
         self._pending_request = None
 
     def slack_of(self, page: int) -> float:
@@ -100,10 +96,11 @@ class AlgContinuous(AlgDiscrete):
     on_hit_batch = EvictionPolicy.on_hit_batch
 
     def on_insert(self, page: int, t: int) -> None:
-        self.ledger.record_request(page, t)
         # If the page was outside the cache with x = 1, its old interval
-        # closes; the new interval starts with x = 0 and z = 0.
-        self._evicted_now.discard(page)
+        # closes and its z is written; the new interval starts with
+        # x = 0 and z = 0.
+        self.ledger.settle_z(page)
+        self.ledger.record_request(page, t)
         super().on_insert(page, t)
 
     def choose_victim(self, page: int, t: int) -> int:
@@ -116,21 +113,18 @@ class AlgContinuous(AlgDiscrete):
         # Record the continuous motion's endpoint: y_t rose by `delta`,
         # and z of every page outside the cache — except the requested
         # page p_t, which the paper explicitly excludes — rose in
-        # lockstep.  The victim itself reaches slack 0 exactly at this
-        # moment, so its x is set *before* z starts accruing on it:
-        # z(p, j) of the victim's interval stays 0 for this jump and
-        # grows only on later jumps within the same interval, matching
-        # Fig. 2 where z rises only for pages already outside the cache.
-        self.ledger.record_y_jump(t, delta)
-        if delta != 0.0:
-            for outside in self._evicted_now:
-                if outside == self._pending_request:
-                    continue
-                self.ledger.record_z_increase(
-                    outside, self.ledger.current_interval(outside), delta
-                )
-        self.ledger.record_eviction(page, self._owners_list[page], t)
-        self._evicted_now.add(page)
+        # lockstep (the ledger's running sum, O(1) per jump).  Settling
+        # p_t's interval first keeps this jump and any later one off it.
+        # The victim itself reaches slack 0 exactly at this moment, so
+        # its x is set *before* z starts accruing on it: z(p, j) of the
+        # victim's interval stays 0 for this jump and grows only on
+        # later jumps within the same interval, matching Fig. 2 where z
+        # rises only for pages already outside the cache.
+        ledger = self.ledger
+        ledger.settle_z(self._pending_request)
+        ledger.record_y_jump(t, delta)
+        ledger.record_eviction(page, self._owners_list[page], t)
+        ledger.accrue_z(page)
         super().on_evict(page, t)
 
     def on_flush(self, page: int, t: int) -> None:
@@ -144,7 +138,7 @@ class AlgContinuous(AlgDiscrete):
         user = self._owners_list[page]
         super().on_flush(page, t)
         self.ledger.record_eviction(page, user, t)
-        self._evicted_now.add(page)
+        self.ledger.accrue_z(page)
         m = self._m[user] + 1
         self._m[user] = m
         self._fresh[user] = self._gradient(user, m + 1)

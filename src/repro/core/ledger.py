@@ -30,6 +30,19 @@ implementation the eviction performed at time ``t`` (to admit
 :math:`p_t`) contributes to ``y[t]``, and page :math:`p_t`'s new
 interval starts at ``t``, so its own interval sums exclude ``y[t]`` —
 matching the exclusion of :math:`p_t` from the constraint at time *t*.
+
+Lockstep z
+----------
+While y rises, the z of every interval already outside the cache rises
+with it.  Raising each of them on every jump costs one write per page
+outside the cache per eviction, so the ledger keeps a running sum of
+the y jumps in time order instead (compensated, so a difference of two
+far-apart values keeps its low-order bits) and, per *accruing*
+interval, the sum at which it started: :meth:`accrue_z` opens one,
+:meth:`settle_z` writes its z once when it closes, and an interval
+still open is folded in whenever :attr:`z` is read.  A page whose
+interval must not rise with a jump (ALG-CONT's :math:`p_t`) is settled
+before it.
 """
 
 from __future__ import annotations
@@ -56,10 +69,23 @@ class PrimalDualLedger:
     set_time: Dict[Tuple[int, int], int] = field(default_factory=dict)
     #: y[t] — dual jump at time t (only eviction times are non-zero).
     y: Optional[np.ndarray] = None
-    #: (p, j) -> accumulated z.
-    z: Dict[Tuple[int, int], float] = field(default_factory=dict)
     #: (t, page, user) per eviction, in time order.
     eviction_events: List[Tuple[int, int, int]] = field(default_factory=list)
+    #: (p, j) -> settled z (read through :attr:`z`).
+    _z: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    #: page -> (j, y sum, compensation) where its accruing interval began.
+    _accruing: Dict[int, Tuple[int, float, float]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    #: Running sum of the y jumps (Neumaier: the sum is ``_ys + _yc``).
+    _ys: float = field(default=0.0, init=False, repr=False)
+    _yc: float = field(default=0.0, init=False, repr=False)
+    #: The running sum when the accruing intervals were last folded.
+    _folded: Tuple[float, float] = field(
+        default=(0.0, 0.0), init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.y is None:
@@ -85,16 +111,56 @@ class PrimalDualLedger:
         self.eviction_events.append((t, page, user))
 
     def record_y_jump(self, t: int, delta: float) -> None:
-        """Raise :math:`y^\\circ_t` by *delta* (the eviction-time jump)."""
+        """Raise :math:`y^\\circ_t` by *delta* (the eviction-time jump),
+        and with it the z of every accruing interval."""
         if delta < 0:
             raise ValueError(f"y must be non-decreasing; got delta={delta}")
         self.y[t] += delta
+        if not delta:
+            return
+        s = self._ys
+        total = s + delta
+        if abs(s) >= abs(delta):
+            self._yc += (s - total) + delta
+        else:
+            self._yc += (delta - total) + s
+        self._ys = total
+
+    def accrue_z(self, page: int) -> None:
+        """Start raising :math:`z^\\circ` of *page*'s current interval in
+        lockstep with every later y jump (the page just left the cache)."""
+        self._accruing[page] = (self.current_interval(page), self._ys, self._yc)
+
+    def settle_z(self, page: int) -> None:
+        """Stop *page*'s accruing interval, if any, and write its z."""
+        entry = self._accruing.pop(page, None)
+        if entry is not None:
+            self._credit(page, *entry)
+
+    def _credit(self, page: int, j: int, s: float, c: float) -> None:
+        """Add the y jumps since the running sum read ``s + c`` to z(p, j)."""
+        dz = (self._ys - s) + (self._yc - c)
+        if dz:
+            self._z[(page, j)] = self._z.get((page, j), 0.0) + dz
 
     def record_z_increase(self, page: int, j: int, delta: float) -> None:
         """Raise :math:`z^\\circ(p, j)` by *delta* (lockstep with y)."""
         if delta < 0:
             raise ValueError(f"z must be non-decreasing; got delta={delta}")
-        self.z[(page, j)] = self.z.get((page, j), 0.0) + delta
+        self._z[(page, j)] = self._z.get((page, j), 0.0) + delta
+
+    @property
+    def z(self) -> Dict[Tuple[int, int], float]:
+        """``(p, j) -> ``:math:`z^\\circ(p, j)`, with every interval still
+        accruing folded in first (the dict may be read and edited)."""
+        now = (self._ys, self._yc)
+        if self._accruing and now != self._folded:
+            accruing = self._accruing
+            for page, entry in accruing.items():
+                self._credit(page, *entry)
+                accruing[page] = (entry[0],) + now
+            self._folded = now
+        return self._z
 
     # ------------------------------------------------------------------
     # Query API (used by the invariant checker and tests)

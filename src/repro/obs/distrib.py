@@ -21,9 +21,11 @@ This module closes the gap with three small pieces:
   ``PROC_SHIFT``-bit namespace (:func:`span_ids`), so ids from the
   router (namespace 0), shard workers, and network nodes never collide
   and the merged tree needs no id rewriting.
-* **Worker-local spill + parent-side merge** — remote processes append
-  their spans to their own JSONL file (:func:`spill_path` names them
-  ``<base>.w<i>`` next to the parent's ``--trace-jsonl`` file); after
+* **Worker-local spill + parent-side merge** — each shard worker and
+  network node appends its spans to its own JSONL file (:func:`spill_path`
+  names them ``<base>.w<i>`` next to the parent's ``--trace-jsonl``
+  file) — shard worker 0 too, though it runs in the server process, so
+  the files and id namespaces are the same at any worker count; after
   the run, :func:`merge_traces` reads all the files, groups span events
   by ``trace`` id, and rebuilds each request tree from the propagated
   parent ids.  ``python -m repro.obs trace <jsonl...>`` is the CLI

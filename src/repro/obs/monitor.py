@@ -16,7 +16,9 @@ and checks:
 * **budget-nonneg** — resident budgets stay :math:`\\ge 0` for convex
   costs (Fig. 3 evicts the minimum exactly when it reaches 0; a
   negative budget means the dual update drifted — e.g. a lost uplift
-  or a double subtraction);
+  or a double subtraction).  One flag per tenant per sample names the
+  tenant's most negative page, its budget (the flag's magnitude) and
+  the count of negative pages;
 * **fresh-budget** — the cached fresh budget equals
   :math:`f_i'(m_i^{ev} + 1)` recomputed from the cost function at the
   policy's own eviction count (cache-invalidation drift);
@@ -158,16 +160,26 @@ class InvariantMonitor:
 
         evictions = np.zeros(n, dtype=np.int64)
         min_budget: Optional[float] = None
+        negative: Dict[Optional[int], Tuple[float, int, int]] = {}
         for policy in policies:
             ev = getattr(policy, "evictions_by_user", None)
             if ev is not None:
                 evictions[: min(n, len(ev))] += np.asarray(ev[:n], dtype=np.int64)
-            self._check_budgets(policy, t)
-            self._check_fresh_budgets(policy, t)
             budgets = self._budgets_of(policy)
             if budgets:
+                self._find_negative(policy, budgets, negative)
                 lo = min(budgets.values())
                 min_budget = lo if min_budget is None else min(min_budget, lo)
+            self._check_fresh_budgets(policy, t)
+        for tenant, (budget, page, count) in negative.items():
+            self._flag(
+                "budget-nonneg",
+                t,
+                tenant,
+                f"resident page {page} has budget {budget} < 0 "
+                f"({count} negative resident pages)",
+                -budget,
+            )
 
         self._check_eviction_bound(t, misses, evictions)
         if self.samples:
@@ -192,24 +204,29 @@ class InvariantMonitor:
         getter = getattr(policy, "resident_budgets", None)
         return getter() if callable(getter) else {}
 
-    def _check_budgets(self, policy: object, t: int) -> None:
-        budgets = self._budgets_of(policy)
-        if not budgets:
-            return
+    def _find_negative(
+        self,
+        policy: object,
+        budgets: Dict[int, float],
+        worst: Dict[Optional[int], Tuple[float, int, int]],
+    ) -> None:
+        """Fold *policy*'s negative budgets into *worst*: per tenant, the
+        most negative budget, its page, and the count of negative pages.
+        The sample raises one ``budget-nonneg`` flag per tenant from it —
+        a drift moves every budget at once, and a flag per page would
+        grow the flag list by up to k on every sample it persists."""
         owners = getattr(policy, "_owners_list", None)
-        scale = max(1.0, max(abs(b) for b in budgets.values()))
+        limit = -self.tol * max(1.0, max(abs(b) for b in budgets.values()))
         for page, budget in budgets.items():
+            if budget >= limit:
+                continue
             tenant = owners[page] if owners else None
             if tenant is not None and not self._convex[tenant]:
                 continue  # negative budgets are legal for non-convex costs
-            if budget < -self.tol * scale:
-                self._flag(
-                    "budget-nonneg",
-                    t,
-                    tenant,
-                    f"resident page {page} has budget {budget} < 0",
-                    -budget,
-                )
+            lo, lo_page, count = worst.get(tenant, (budget, page, 0))
+            if budget < lo:
+                lo, lo_page = budget, page
+            worst[tenant] = (lo, lo_page, count + 1)
 
     def _check_fresh_budgets(self, policy: object, t: int) -> None:
         fresh = getattr(policy, "fresh_budget", None)

@@ -22,6 +22,7 @@ from repro.serve.client import (
     serve_trace,
 )
 from repro.serve.server import (
+    ApplyFailed,
     BatchOutcome,
     CacheServer,
     RequestOutcome,
@@ -34,6 +35,7 @@ from repro.serve.shard import CacheShard, ShardManager, page_hash
 from repro.serve.workers import ShardWorkerPool, WorkerCrashed
 
 __all__ = [
+    "ApplyFailed",
     "BatchOutcome",
     "CacheServer",
     "CacheShard",

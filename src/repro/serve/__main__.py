@@ -164,8 +164,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_p.add_argument("--shards", type=int, default=1)
     serve_p.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes serving the shard set (clamped to "
-        "--shards; 1 = in-process)",
+        help="processes serving the shard set, the server's own "
+        "included (clamped to --shards; 1 = in-process; N starts N-1 "
+        "worker processes)",
     )
     serve_p.add_argument("--tenants", type=int, default=4)
     serve_p.add_argument("--pages-per-tenant", type=int, default=500)
@@ -193,8 +194,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_p.add_argument(
         "--profile", nargs="?", const=True, default=None, type=float,
         metavar="INTERVAL",
-        help="sampling profiler in the parent and every worker process "
-        "(optional interval, seconds; default 0.005)",
+        help="sampling profiler in the server process (which runs "
+        "worker 0) and every worker process (optional interval, "
+        "seconds; default 0.005)",
     )
     serve_p.add_argument(
         "--profile-out", default=None, metavar="PATH",

@@ -349,8 +349,8 @@ def serve_trace(
     observability-overhead benchmarks do); ``workers > 1`` serves the
     shard set process-parallel (results are bit-identical for any
     worker count);
-    ``profile`` installs the sampling profiler in the parent and every
-    worker, and ``trace_sample`` head-samples distributed traces to
+    ``profile`` installs the sampling profiler in the server process
+    (which runs worker 0) and every worker process, and ``trace_sample`` head-samples distributed traces to
     every *N*-th submission (see :class:`CacheServer`).  Startup
     (worker spawn) and drain are timed into the report's
     ``startup_seconds``/``drain_seconds`` and excluded from the

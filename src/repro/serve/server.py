@@ -32,8 +32,11 @@ submissions raise :class:`ServerClosed`), lets the consumer drain
 everything already accepted, then stops.  The same guarantee holds
 under fault injection — if the consumer task is *cancelled* mid-stream
 it synchronously drains the queue before honouring the cancellation —
-so an accepted request is always answered.  Enforced by
-``tests/test_serve_server.py``.
+so an accepted request is always answered.  When applying raises (a
+lost worker, or a policy error), the consumer closes the ingress and
+fails every pending request with a :class:`ServerClosed` naming the
+cause instead of dying silently.  Enforced by
+``tests/test_serve_server.py`` and ``tests/test_serve_workers.py``.
 
 The ``/stats`` snapshot (:meth:`CacheServer.stats`) is a plain dict:
 totals, per-tenant hits/misses/cost/marginal quote, queue depth, and
@@ -66,6 +69,12 @@ from repro.util.validation import check_positive_int
 
 class ServerClosed(RuntimeError):
     """Raised when submitting to a server that is stopping/stopped."""
+
+
+class ApplyFailed(ServerClosed):
+    """Applying a run raised in this process (a policy or ledger
+    error): the server closed its ingress and failed every pending
+    request with this error, whose ``__cause__`` is the original."""
 
 
 #: Shared no-op context manager for unsampled ingress spans —
@@ -245,19 +254,23 @@ class CacheServer:
     policy_seed, trace, horizon, validate:
         Passed through to :class:`ShardManager`.
     workers:
-        OS processes serving the shard set (clamped to ``num_shards``).
-        The default ``1`` serves in-process through one
-        :class:`~repro.serve.shard.ShardGroup` over :attr:`shards`;
-        with ``W > 1`` a :class:`~repro.serve.workers.ShardWorkerPool`
-        is started alongside the consumer — shard *s* lives in worker
-        ``s % W``, which serves it through a group of its own, and the
-        consumer routes each run of queued batches with the same
-        splitmix64 placement in one framed pipe exchange per worker and
-        merges the replies back into submission order.  Either way one consumer
-        path builds the outcomes, so backpressure and drain semantics
-        are the same and results are bit-identical for any ``W`` (the
-        global clock is assigned before routing).  Scrape paths merge
-        the workers' ledgers, keeping ``stats``/``metrics`` exact.
+        OS processes serving the shard set, this one included (clamped
+        to ``num_shards``).  The default ``1`` serves in-process
+        through one :class:`~repro.serve.shard.ShardGroup` over
+        :attr:`shards`; with ``W > 1`` a
+        :class:`~repro.serve.workers.ShardWorkerPool` is started
+        alongside the consumer — shard *s* lives in worker ``s % W``,
+        which serves it through a group of its own.  Worker 0 runs in
+        this process and workers ``1 … W−1`` in ``W − 1`` child
+        processes: the consumer routes each run of queued batches with
+        the same splitmix64 placement, sends each child one framed pipe
+        exchange, serves worker 0's share while the children serve
+        theirs, and merges the replies back into submission order.
+        Either way one consumer path builds the outcomes, so
+        backpressure and drain semantics are the same and results are
+        bit-identical for any ``W`` (the global clock is assigned
+        before routing).  Scrape paths merge the workers' ledgers,
+        keeping ``stats``/``metrics`` exact.
     obs:
         Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults
         to a fresh, env-gated bundle per server so collector metric
@@ -270,11 +283,12 @@ class CacheServer:
         this many served requests (0 disables sampling).
     profile:
         Sampling profiler (:mod:`repro.obs.prof`): ``True`` installs
-        one at the default interval in this process *and* in every
-        worker; a float sets the interval in seconds; ``None``/
-        ``False`` (default) disables it.  Folded stacks are available
-        from :meth:`profile_folded` after :meth:`stop` (worker
-        profiles are gathered before the pool shuts down).
+        one at the default interval in this process — which covers
+        worker 0 — *and* in every worker process; a float sets the
+        interval in seconds; ``None``/``False`` (default) disables it.
+        Folded stacks are available from :meth:`profile_folded` after
+        :meth:`stop` (worker profiles are gathered before the pool
+        shuts down).
     trace_sample:
         Head-sampling rate for distributed traces: trace every *N*-th
         submission (default 1 = every submission).  Unsampled
@@ -692,10 +706,11 @@ class CacheServer:
 
         Consecutive batches share one apply call; a detail submission
         (``request``) or a head-sampled one gets a call of its own.
-        Returns False when a shard worker died (``WorkerCrashed`` is the
-        only ``ServerClosed`` :meth:`_process` can raise): every request
-        of the run not yet served and everything queued are answered
-        with the error instead of hanging, and the consumer stops."""
+        Returns False when applying raised — a shard worker died or
+        errored (``WorkerCrashed``), or a policy raised in this process:
+        every request of the run not yet served and everything queued
+        are answered with the error instead of hanging, and the consumer
+        stops."""
         queue = self._queue
         assert queue is not None
         items = [item for item in run if item is not None]
@@ -709,8 +724,8 @@ class CacheServer:
             for end in ends:
                 self._process(items[start:end], traced[start])
                 start = end
-        except ServerClosed as exc:
-            self._on_worker_crash(items[start:], exc)
+        except Exception as exc:  # noqa: BLE001 - answered, never dropped
+            self._on_apply_error(items[start:], exc)
             return False
         finally:
             for _ in run:
@@ -719,8 +734,8 @@ class CacheServer:
 
     def _auto_dump(self, reason: str) -> None:
         """Persist the flight window when something went wrong (a new
-        invariant flag, a fault-injected drain, a dead worker) — best
-        effort, never masking the triggering condition."""
+        invariant flag, a fault-injected drain, a dead worker, an apply
+        error) — best effort, never masking the triggering condition."""
         flight = self._flight
         if flight is None or not flight.dump_path:
             return
@@ -773,16 +788,26 @@ class CacheServer:
         if not fut.done():
             fut.set_exception(exc)
 
-    def _on_worker_crash(self, items: Sequence[_Item], exc: Exception) -> None:
-        """A worker died mid-exchange: close the ingress, fail the
-        run's unserved submissions and everything still queued (an
-        accepted request is always *answered*, here with the crash
-        error), and auto-dump the surviving workers' flight windows."""
+    def _on_apply_error(self, items: Sequence[_Item], exc: Exception) -> None:
+        """Applying raised: close the ingress, fail the run's unserved
+        submissions and everything still queued (an accepted request is
+        always *answered*, here with a :class:`ServerClosed` naming the
+        cause), and auto-dump the flight window — at ``W > 1`` the
+        surviving workers' windows."""
         self._closed = True
-        # The timeline tick and HTTP plane keep running after a crash,
-        # so the crash-counter bump below reaches the next snapshot and
-        # the serve-worker-crashed alert fires within one tick.
-        self._crashes += 1
+        crashed = isinstance(exc, ServerClosed)  # WorkerCrashed
+        if crashed:
+            # The timeline tick and HTTP plane keep running after a
+            # crash, so the crash-counter bump reaches the next snapshot
+            # and the serve-worker-crashed alert fires within one tick.
+            self._crashes += 1
+        else:
+            cause = exc
+            exc = ApplyFailed(
+                f"server {self.name!r} failed applying a run: "
+                f"{type(cause).__name__}: {cause}"
+            )
+            exc.__cause__ = cause
         for item in items:
             self._fail_item(item, exc)
         queue = self._queue
@@ -792,7 +817,7 @@ class CacheServer:
                 self._fail_item(queue.get_nowait(), exc)
             finally:
                 queue.task_done()
-        self._auto_dump("worker-crash")
+        self._auto_dump("worker-crash" if crashed else "apply-error")
 
     def _process(self, run: Sequence[_Item], traced: bool) -> None:
         """Serve consecutive submissions in one apply call, at any
@@ -928,9 +953,11 @@ class CacheServer:
             await asyncio.sleep(timeline.interval)
 
     def profile_folded(self) -> Dict[str, Dict[str, int]]:
-        """Per-process folded stacks: ``{"parent": ..., "w0": ...}``.
+        """Per-process folded stacks: ``{"parent": ..., "w1": ...}``.
 
-        Worker entries appear after :meth:`stop` (or an explicit
+        ``"parent"`` is this process, worker 0 included; ``"w1"`` …
+        ``"w{W-1}"`` are the worker processes, whose entries appear
+        after :meth:`stop` (or an explicit
         :meth:`~repro.serve.workers.ShardWorkerPool.profile_gather`);
         merge with :func:`repro.obs.prof.merge_folded`.
         """
@@ -1509,6 +1536,7 @@ class CacheServer:
 
 
 __all__ = [
+    "ApplyFailed",
     "BatchOutcome",
     "CacheServer",
     "RequestOutcome",

@@ -4,13 +4,26 @@ The single-consumer server (:mod:`repro.serve.server`) applies every
 request sequentially, so the S-way page→shard split of
 :class:`~repro.serve.shard.ShardManager` never uses more than one
 core.  :class:`ShardWorkerPool` lifts the same shard set onto ``W``
-OS processes: shard ``s`` is owned by worker ``s % W``, and each
-worker serves through a :class:`~repro.serve.shard.ShardGroup` — the
-same serving core an in-process server runs — over just the shards it
+workers: shard ``s`` is owned by worker ``s % W``, and each worker
+serves through a :class:`~repro.serve.shard.ShardGroup` — the same
+serving core an in-process server runs — over just the shards it
 owns: their **policy instances** and per-shard decision timers, a
 :class:`~repro.serve.accounting.CostLedger` **slice**, and an
 optional **invariant monitor**.  Only the **flight recorder**, span
 spill and profiler are the worker's own.
+
+Worker 0 runs in the calling process and workers ``1 … W−1`` in
+child processes, so ``W`` workers cost ``W − 1`` processes.  An
+exchange sends every child its frame first, serves worker 0's share
+in-process while the children serve theirs, and only then reads the
+children's replies: the caller blocks only for the tail of the
+slowest child, not for a whole round trip per worker.  Worker 0 keeps
+its own group, ledger slice, monitor, flight ring and span spill,
+exactly as a child does, behind the same two-call handle (post a
+message, take its reply) — so every pool method is one loop over the
+``W`` workers, and nothing of worker 0's state is shared with the
+caller's own.  It starts no profiler: the calling process's sampler
+covers its thread.
 
 Determinism is by construction, not by luck: the ingress side assigns
 every request its **global clock value** ``t`` before routing, and a
@@ -21,7 +34,7 @@ of ``W`` (test-enforced by ``tests/test_serve_equivalence.py``).
 
 Routing is batched and buffer-flat.  A precomputed page→worker table
 (:func:`~repro.serve.shard.shard_table` modulo ``W``) splits an
-exchange into per-worker position/page arrays, and each worker
+exchange into per-worker position/page arrays, and each child
 receives **one frame per exchange** on its duplex pipe — never one
 pickle per request, and on the data path never a pickle at all.  The
 serve consumer makes one exchange per *run*: every batch queued when it
@@ -33,9 +46,9 @@ frame whose first byte is its tag:
   then ``t0``, ``n``, ``trace_id`` and ``parent_span`` as int64 words,
   then ``pages int64*n`` and ``pos int32*n`` (request *i* carries
   global time ``t0 + pos[i]``).  The parent frames it into a
-  preallocated per-worker staging buffer, so an exchange costs no
+  preallocated per-child staging buffer, so an exchange costs no
   allocation and no serialization once the buffer has grown to the
-  working run size.  The worker answers ``b"F"`` + one hit-flag byte
+  working run size.  The child answers ``b"F"`` + one hit-flag byte
   per request, or ``b"E"`` + an error message.
 * ``b"!"`` — a control frame: a pickled message for the construction
   handshake, detail/snapshot/flight/profile gathers, and shutdown.
@@ -44,9 +57,11 @@ Exchanges are strictly synchronous request/reply per worker, and both
 the serve consumer's apply call and the scrape paths run without
 awaiting — under asyncio's single thread that means data and control
 messages can never interleave on a pipe, so the protocol needs no
-locks.  A worker reads a whole frame before it writes its reply, so
-frames larger than the socket buffer cannot deadlock the parent's
-send-to-all-then-receive-from-all exchange.
+locks.  A failed exchange still reads every other reply it is owed
+before it raises, so no reply is ever left in a pipe for the next
+exchange to misread.  A child reads a whole frame before it writes
+its reply, so frames larger than the socket buffer cannot deadlock
+the parent's send-to-all-then-receive-from-all exchange.
 
 Scrape-time merging mirrors the in-process design ("exactness via
 scrape-time collectors", DESIGN.md): each worker reports its group's
@@ -59,11 +74,14 @@ output is schema-identical at any ``W``.  Windowed SLA rows stay exact
 because every ledger bins misses by the *global* window index
 ``t // window``.
 
-Worker death is detected, not hung on: every reply wait polls the
-pipe with a bounded timeout and checks the process, raising
-:class:`WorkerCrashed` (a :class:`~repro.serve.server.ServerClosed`)
+Failure is reported, not hung on: every reply wait polls the pipe with
+a bounded timeout and checks the child, and a dead child, a broken
+pipe, an undecodable frame or a child's ``b"E"`` reply raises
+:class:`WorkerCrashed` (a :class:`~repro.serve.server.ServerClosed`),
 so the consumer can fail pending futures and auto-dump the surviving
-workers' flight windows.
+workers' flight windows.  An exception in worker 0's share propagates
+as it is — as from an in-process server, since no process died — once
+the children's replies of that exchange have been read.
 """
 
 from __future__ import annotations
@@ -72,7 +90,7 @@ import heapq
 import pickle
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,7 +104,8 @@ from repro.util.validation import check_positive_int
 
 
 class WorkerCrashed(ServerClosed):
-    """A shard worker process died (or its pipe broke) mid-protocol."""
+    """A shard worker process died, broke its pipe, sent an undecodable
+    frame, or reported an error."""
 
 
 #: Seconds between liveness checks while waiting on a worker reply.
@@ -135,10 +154,10 @@ class WorkerSpec:
 
 
 class _WorkerState:
-    """The per-process serving state (lives only inside a worker): a
-    :class:`~repro.serve.shard.ShardGroup` over the worker's shards,
-    plus what only a worker process has — its flight ring, span spill
-    and profiler."""
+    """One worker's serving state — in a child process, or worker 0's
+    in the calling one: a :class:`~repro.serve.shard.ShardGroup` over
+    the worker's shards, plus what only a worker has — its flight ring,
+    span spill and profiler."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
@@ -239,6 +258,25 @@ class _WorkerState:
             )
         return flags
 
+    def control(self, msg: tuple) -> object:
+        """The reply to one control message (the ``b"!"`` frames)."""
+        op = msg[0]
+        if op == "d":  # apply with per-request detail
+            _, t0, pos_b, pages_b = msg
+            pos = np.frombuffer(pos_b, dtype=np.int32).tolist()
+            pages = np.frombuffer(pages_b, dtype=np.int64).tolist()
+            return self.group.apply(pages, [t0 + p for p in pos], True)
+        if op == "s":  # snapshot (scrape-time gather)
+            return self.snapshot()
+        if op == "f":  # flight window gather
+            return self.flight_window()
+        if op == "prof":  # folded-stack profile gather
+            return self.profile_folded()
+        if op == "c":  # close
+            self.close()
+            return ("bye", self.group.ledger.total_requests)
+        return ("err", f"unknown op {op!r}")  # protocol bug guard
+
     def snapshot(self) -> Dict[str, object]:
         """The group's ground truth for the parent's scrape-time merge,
         with the ledger as plain counters (cost functions need not
@@ -268,7 +306,7 @@ class _WorkerState:
 
 
 def _worker_main(conn, spec: WorkerSpec) -> None:
-    """Worker process entry point: build the shard group, serve the
+    """Child process entry point: build the shard group, serve the
     frame protocol until told to close.  Any build/serve exception is
     reported back (pickled ``"err"`` for control ops, a ``b"E"`` frame
     for data ops) instead of dying silently."""
@@ -308,26 +346,9 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
             elif tag == b"!":  # control op (pickled)
                 reply_kind = "pickle"
                 msg = pickle.loads(frame[1:])
-                op = msg[0]
-                if op == "d":  # apply with per-request detail
-                    _, t0, pos_b, pages_b = msg
-                    pos = np.frombuffer(pos_b, dtype=np.int32).tolist()
-                    pages = np.frombuffer(pages_b, dtype=np.int64).tolist()
-                    conn.send(
-                        state.group.apply(pages, [t0 + p for p in pos], True)
-                    )
-                elif op == "s":  # snapshot (scrape-time gather)
-                    conn.send(state.snapshot())
-                elif op == "f":  # flight window gather
-                    conn.send(state.flight_window())
-                elif op == "prof":  # folded-stack profile gather
-                    conn.send(state.profile_folded())
-                elif op == "c":  # close
-                    state.close()
-                    conn.send(("bye", state.group.ledger.total_requests))
+                conn.send(state.control(msg))
+                if msg[0] == "c":
                     return
-                else:  # pragma: no cover - protocol bug guard
-                    conn.send(("err", f"unknown op {op!r}"))
             else:  # pragma: no cover - protocol bug guard
                 reply_kind = "bytes"
                 conn.send_bytes(b"E" + f"unknown tag {tag!r}".encode())
@@ -350,20 +371,176 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
         conn.close()
 
 
-class ShardWorkerPool:
-    """Partition ``S`` shards across ``W`` worker processes.
+# ----------------------------------------------------------------------
+# Worker handles: post one message, then take its reply.  A data
+# message is ("p", t0, pages, pos, trace_id, parent_span) and its reply
+# the uint8 hit flags; anything else is a control message and its reply
+# what _WorkerState.control returns.
+# ----------------------------------------------------------------------
+def _control_reply(label: str, reply: object) -> object:
+    if isinstance(reply, tuple) and reply and reply[0] == "err":
+        raise WorkerCrashed(f"{label} errored: {reply[1]}")
+    return reply
 
-    Each worker is reached over its own duplex pipe, the only channel
-    between the processes: :meth:`apply` sends every touched worker one
-    data frame and merges the flag replies back into submission order
+
+class _LocalWorker:
+    """Worker 0, served in the calling process: :meth:`post` only
+    keeps the message, and :meth:`take` serves it — which the pool
+    does after it has posted to every child, before it reads them.
+    An exception while serving propagates as it is, as it would from an
+    in-process group: no process died."""
+
+    def __init__(self, label: str, state: _WorkerState) -> None:
+        self.label = label
+        self.state = state
+        self.alive = True
+        self._msg: Optional[tuple] = None
+
+    def post(self, msg: tuple) -> None:
+        self._msg = msg
+
+    def take(self) -> object:
+        msg, self._msg = self._msg, None
+        if msg[0] != "p":
+            return _control_reply(self.label, self.state.control(msg))
+        _, t0, pages, pos, trace_id, parent = msg
+        flags = self.state.apply(
+            pages.tolist(), (pos + t0).tolist(), trace_id, parent
+        )
+        return np.frombuffer(bytes(flags), dtype=np.uint8)
+
+    def stop(self, graceful: bool) -> None:
+        self.alive = False
+        self.state.close()
+
+    def join(self) -> None:
+        pass
+
+
+class _PipeWorker:
+    """A worker in a child process, reached over its duplex pipe."""
+
+    def __init__(self, label: str, conn, proc) -> None:
+        self.label = label
+        self.conn = conn
+        self.proc = proc
+        #: Data-frame staging buffer (reused, grown).
+        self.staging = bytearray(0)
+        #: Flags owed by the posted data frame; -1 after a control post.
+        self._expect = -1
+        #: Whether the close op went out (so a reply is owed).
+        self._bye = False
+
+    @property
+    def alive(self) -> bool:
+        return self.proc.is_alive()
+
+    def post(self, msg: tuple) -> None:
+        if msg[0] != "p":
+            self._expect = -1
+            self._send(b"!" + pickle.dumps(msg))
+            return
+        # Frame the exchange into the reusable staging buffer and send
+        # it as a single payload — no pickling, no per-exchange
+        # allocation once the buffer has grown to the working run size.
+        _, t0, pages, pos, trace_id, parent = msg
+        m = self._expect = int(pages.size)
+        need = _PIPE_HDR + 12 * m
+        buf = self.staging
+        if len(buf) < need:
+            buf = self.staging = bytearray(max(need, 4096))
+        buf[0:1] = b"p"
+        struct.pack_into("<qqqq", buf, 8, t0, m, trace_id, parent)
+        np.frombuffer(buf, dtype=np.int64, count=m, offset=_PIPE_HDR)[:] = pages
+        np.frombuffer(buf, dtype=np.int32, count=m, offset=_PIPE_HDR + 8 * m)[
+            :
+        ] = pos
+        self._send(buf, need)
+
+    def _send(self, buf, size: Optional[int] = None) -> None:
+        try:
+            self.conn.send_bytes(buf, 0, size)
+        except (BrokenPipeError, OSError) as exc:
+            raise WorkerCrashed(f"{self.label} is gone: {exc}") from exc
+
+    def _recv_bytes(self) -> bytes:
+        """Receive one frame, watching for the child's death."""
+        conn = self.conn
+        try:
+            while not conn.poll(_POLL_INTERVAL):
+                if not self.proc.is_alive():
+                    raise WorkerCrashed(
+                        f"{self.label} died (exitcode {self.proc.exitcode})"
+                    )
+            return conn.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise WorkerCrashed(f"{self.label} closed its pipe: {exc}") from exc
+
+    def take(self) -> object:
+        frame = self._recv_bytes()
+        m = self._expect
+        if m < 0:
+            try:
+                reply = pickle.loads(frame)
+            except Exception as exc:  # noqa: BLE001 - any undecodable frame
+                raise WorkerCrashed(
+                    f"{self.label} sent a frame that is not a pickle: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            return _control_reply(self.label, reply)
+        tag = frame[:1]
+        if tag == b"F" and len(frame) == 1 + m:
+            return np.frombuffer(frame, dtype=np.uint8, offset=1)
+        if tag == b"E":
+            raise WorkerCrashed(
+                f"{self.label} errored: {frame[1:].decode(errors='replace')}"
+            )
+        raise WorkerCrashed(
+            f"{self.label} sent a {len(frame)}-byte frame tagged {tag!r} "
+            f"for {m} hit flags"
+        )
+
+    def stop(self, graceful: bool) -> None:
+        if graceful:
+            try:
+                self.post(("c",))
+                self._bye = True
+            except WorkerCrashed:
+                pass
+
+    def join(self) -> None:
+        """Take the close reply if one is owed, then end the child: a
+        closed pipe reads as EOF there, so a child sent no close op
+        still exits; anything unresponsive is terminated."""
+        try:
+            if self._bye and self.conn.poll(1.0):
+                self.conn.recv_bytes()
+        except (EOFError, OSError):
+            pass
+        self.conn.close()
+        self.proc.join(timeout=2.0)
+        if self.proc.is_alive():  # pragma: no cover - stuck worker
+            self.proc.terminate()
+            self.proc.join(timeout=2.0)
+
+
+class ShardWorkerPool:
+    """Partition ``S`` shards across ``W`` workers: worker 0 in the
+    calling process, workers ``1 … W−1`` in child processes.
+
+    Each child is reached over its own duplex pipe, the only channel
+    between the processes: :meth:`apply` posts every touched worker one
+    data frame — worker 0 serves its share after the children's frames
+    are sent — and merges the flag replies back into submission order
     (frame layout in the module docstring).
 
     Parameters mirror :class:`~repro.serve.shard.ShardManager` (the
     worker side rebuilds the identical shard set); pool-specific knobs:
 
     num_workers:
-        Requested worker processes; clamped to ``num_shards`` (a shard
-        is owned by exactly one worker).
+        Requested workers; clamped to ``num_shards`` (a shard is owned
+        by exactly one worker).  ``W`` workers start ``W − 1`` child
+        processes.
     timing:
         Enable per-shard ``choose_victim`` timers (obs-active servers).
     flight_capacity / flight_meta:
@@ -375,6 +552,10 @@ class ShardWorkerPool:
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (policy factories need not pickle), else ``spawn``.
+    profile:
+        Sampling profiler spec for the child processes (one sampler per
+        process); worker 0 runs on the caller's thread, which the
+        caller's own profiler covers.
     """
 
     def __init__(
@@ -408,162 +589,124 @@ class ShardWorkerPool:
         self.name = name
         self.num_shards = num_shards
         #: Effective worker count (a shard is never split).
-        self.num_workers = min(num_workers, num_shards)
+        self.num_workers = W = min(num_workers, num_shards)
         owners = np.ascontiguousarray(np.asarray(owners, dtype=np.int64))
         self.num_users = int(owners.max()) + 1
         self._costs = costs
         self._window = window
         #: page → worker routing table (uint8: W <= 255 by construction).
-        self._page_worker = (
-            shard_table(int(owners.size), num_shards) % self.num_workers
-        ).astype(np.uint8)
-
+        self._page_worker = (shard_table(int(owners.size), num_shards) % W).astype(
+            np.uint8
+        )
+        specs = [
+            WorkerSpec(
+                worker_id=w,
+                num_workers=W,
+                shard_ids=tuple(sid for sid in range(num_shards) if sid % W == w),
+                policy=policy,
+                num_shards=num_shards,
+                k=k,
+                owners=owners,
+                costs=costs,
+                policy_seed=policy_seed,
+                trace=trace,
+                horizon=horizon,
+                validate=validate,
+                window=window,
+                timing=timing,
+                flight_capacity=flight_capacity,
+                flight_meta=dict(flight_meta or {}),
+                monitor=monitor,
+                monitor_every=monitor_every,
+                trace_jsonl=trace_jsonl,
+                profile=dict(profile) if profile else None,
+            )
+            for w in range(W)
+        ]
         if start_method is None:
             start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
         ctx = mp.get_context(start_method)
-        self._conns = []
+        #: Worker handles by worker id: worker 0 in process, then the
+        #: children.
+        self._workers: list = []
+        #: The child processes (workers 1 … W−1).
         self._procs = []
-        #: Per-worker data-frame staging buffers (reused, grown).
-        self._staging: List[bytearray] = [
-            bytearray(0) for _ in range(self.num_workers)
-        ]
         self._closed = False
-        specs = []
-        for w in range(self.num_workers):
-            specs.append(
-                WorkerSpec(
-                    worker_id=w,
-                    num_workers=self.num_workers,
-                    shard_ids=tuple(
-                        sid for sid in range(num_shards)
-                        if sid % self.num_workers == w
-                    ),
-                    policy=policy,
-                    num_shards=num_shards,
-                    k=k,
-                    owners=owners,
-                    costs=costs,
-                    policy_seed=policy_seed,
-                    trace=trace,
-                    horizon=horizon,
-                    validate=validate,
-                    window=window,
-                    timing=timing,
-                    flight_capacity=flight_capacity,
-                    flight_meta=dict(flight_meta or {}),
-                    monitor=monitor,
-                    monitor_every=monitor_every,
-                    trace_jsonl=trace_jsonl,
-                    profile=dict(profile) if profile else None,
-                )
-            )
+        children: List[_PipeWorker] = []
         try:
-            for w, spec in enumerate(specs):
+            # Children first, so none inherits worker 0's open span
+            # spill, and worker 0 builds while they build theirs.
+            for spec in specs[1:]:
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(child_conn, spec),
-                    name=f"{name}-worker-{w}",
+                    name=f"{name}-worker-{spec.worker_id}",
                     daemon=True,
                 )
                 proc.start()
                 child_conn.close()
-                self._conns.append(parent_conn)
+                children.append(
+                    _PipeWorker(self._label(spec.worker_id), parent_conn, proc)
+                )
                 self._procs.append(proc)
-            # Handshake: surface build errors (unknown policy, missing
-            # costs, unpicklable spec under spawn) at construction.
-            for w in range(self.num_workers):
-                reply = self._recv(w)
-                if reply[0] != "ready":
-                    raise RuntimeError(
-                        f"shard worker {w} failed to start: {reply[1]}"
-                    )
+            label = self._label(0)
+            try:
+                # One sampler per process: the caller's covers worker 0.
+                state = _WorkerState(replace(specs[0], profile=None))
+            except Exception as exc:  # noqa: BLE001 - as the handshake reports it
+                raise WorkerCrashed(
+                    f"{label} errored: {type(exc).__name__}: {exc}"
+                ) from exc
+            self._workers = [_LocalWorker(label, state)] + children
+            # Handshake: surface child build errors (unknown policy,
+            # missing costs, unpicklable spec under spawn) at
+            # construction.
+            for child in children:
+                child.take()
         except BaseException:
+            self._workers = self._workers or children
             self.close(graceful=False)
             raise
 
-    # ------------------------------------------------------------------
-    # Wire helpers
-    # ------------------------------------------------------------------
-    def _recv_bytes(self, w: int) -> bytes:
-        """Receive one frame from worker *w*, watching for death."""
-        conn = self._conns[w]
-        try:
-            while not conn.poll(_POLL_INTERVAL):
-                if not self._procs[w].is_alive():
-                    raise WorkerCrashed(
-                        f"shard worker {w} of pool {self.name!r} died "
-                        f"(exitcode {self._procs[w].exitcode})"
-                    )
-            return conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            raise WorkerCrashed(
-                f"shard worker {w} of pool {self.name!r} closed its pipe: {exc}"
-            ) from exc
-
-    def _recv(self, w: int):
-        """Receive one pickled control reply from worker *w*."""
-        reply = pickle.loads(self._recv_bytes(w))
-        if isinstance(reply, tuple) and reply and reply[0] == "err":
-            raise WorkerCrashed(
-                f"shard worker {w} of pool {self.name!r} errored: {reply[1]}"
-            )
-        return reply
-
-    def _recv_flags(self, w: int) -> np.ndarray:
-        """Receive one data reply frame: ``b"F"`` + the hit flags."""
-        frame = self._recv_bytes(w)
-        if frame[:1] == b"E":
-            raise WorkerCrashed(
-                f"shard worker {w} of pool {self.name!r} errored: "
-                f"{frame[1:].decode(errors='replace')}"
-            )
-        return np.frombuffer(frame, dtype=np.uint8, offset=1)
-
-    def _send_bytes(self, w: int, buf, size: Optional[int] = None) -> None:
-        try:
-            if size is None:
-                self._conns[w].send_bytes(buf)
-            else:
-                self._conns[w].send_bytes(buf, 0, size)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrashed(
-                f"shard worker {w} of pool {self.name!r} is gone: {exc}"
-            ) from exc
-
-    def _send_control(self, w: int, msg: tuple) -> None:
-        self._send_bytes(w, b"!" + pickle.dumps(msg))
-
-    def _send_frame(
-        self,
-        w: int,
-        t0: int,
-        wpages: np.ndarray,
-        pos: np.ndarray,
-        trace_id: int,
-        parent: int,
-    ) -> None:
-        """Frame one exchange into worker *w*'s reusable staging buffer
-        and send it as a single payload — no pickling, no per-exchange
-        allocation once the buffer has grown to the working run size."""
-        m = int(wpages.size)
-        need = _PIPE_HDR + 12 * m
-        buf = self._staging[w]
-        if len(buf) < need:
-            buf = self._staging[w] = bytearray(max(need, 4096))
-        buf[0:1] = b"p"
-        struct.pack_into("<qqqq", buf, 8, t0, m, trace_id, parent)
-        np.frombuffer(buf, dtype=np.int64, count=m, offset=_PIPE_HDR)[:] = wpages
-        np.frombuffer(buf, dtype=np.int32, count=m, offset=_PIPE_HDR + 8 * m)[
-            :
-        ] = pos
-        self._send_bytes(w, buf, need)
+    def _label(self, w: int) -> str:
+        return f"shard worker {w} of pool {self.name!r}"
 
     # ------------------------------------------------------------------
-    # Serving
+    # Exchanges
     # ------------------------------------------------------------------
+    def _exchange(
+        self, msgs: List[Tuple[int, tuple]], best_effort: bool = False
+    ) -> List[Tuple[int, object]]:
+        """Post ``(worker, message)`` pairs, then take each posted
+        worker's reply in order — worker 0, served here, goes first, so
+        it runs while the children serve theirs.  Returns ``(worker,
+        reply)`` pairs.  A failure is raised only after every other
+        reply of the exchange has been read, so no reply stays in a
+        pipe — a lost worker ahead of an error in worker 0; with
+        *best_effort* failed workers are skipped instead."""
+        workers = self._workers
+        error: Optional[Exception] = None
+        posted: List[int] = []
+        for w, msg in msgs:
+            try:
+                workers[w].post(msg)
+                posted.append(w)
+            except WorkerCrashed as exc:
+                error = error or exc
+        replies: List[Tuple[int, object]] = []
+        for w in posted:
+            try:
+                replies.append((w, workers[w].take()))
+            except Exception as exc:  # noqa: BLE001 - raised below
+                if error is None or isinstance(exc, WorkerCrashed):
+                    error = exc
+        if error is not None and not best_effort:
+            raise error
+        return replies
+
     def route(self, pages: np.ndarray) -> np.ndarray:
         """Per-page worker ids (the precomputed splitmix64 table)."""
         return self._page_worker[pages]
@@ -595,12 +738,13 @@ class ShardWorkerPool:
         router-side span id) to every worker touched by the batch.
         """
         pages = np.ascontiguousarray(pages, dtype=np.int64)
-        sends = self._split(pages)
-        for w, pos in sends:
-            self._send_frame(w, t0, pages[pos], pos, trace_id, parent)
+        parts = self._split(pages)
+        replies = self._exchange(
+            [(w, ("p", t0, pages[pos], pos, trace_id, parent)) for w, pos in parts]
+        )
         flags = np.empty(int(pages.size), dtype=np.uint8)
-        for w, pos in sends:
-            flags[pos] = self._recv_flags(w)
+        for (_w, pos), (_, reply) in zip(parts, replies):
+            flags[pos] = reply
         return flags
 
     def apply_detail(
@@ -612,17 +756,18 @@ class ShardWorkerPool:
         heterogeneous tuples, and the single-request path that uses
         them is not the throughput path."""
         pages = np.ascontiguousarray(pages, dtype=np.int64)
-        sends = self._split(pages)
-        for w, pos in sends:
-            self._send_control(
-                w,
-                ("d", t0, pos.astype(np.int32).tobytes(), pages[pos].tobytes()),
-            )
+        parts = self._split(pages)
+        replies = self._exchange(
+            [
+                (w, ("d", t0, pos.astype(np.int32).tobytes(), pages[pos].tobytes()))
+                for w, pos in parts
+            ]
+        )
         out: List[Optional[Tuple[bool, Optional[int], int]]] = [None] * int(
             pages.size
         )
-        for w, pos in sends:
-            for i, tup in zip(pos.tolist(), self._recv(w)):
+        for (_w, pos), (_, reply) in zip(parts, replies):
+            for i, tup in zip(pos.tolist(), reply):
                 out[i] = tuple(tup)
         return out  # type: ignore[return-value]
 
@@ -630,25 +775,12 @@ class ShardWorkerPool:
     # Scrape-time gather
     # ------------------------------------------------------------------
     def _gather(self, op: str, best_effort: bool = False) -> List[Tuple[int, object]]:
-        """Send control *op* to every worker, then collect the replies:
-        ``(worker, reply)`` in worker order.  With *best_effort* dead
-        workers are skipped instead of raising."""
-        polled: List[int] = []
-        for w in range(self.num_workers):
-            try:
-                self._send_control(w, (op,))
-                polled.append(w)
-            except WorkerCrashed:
-                if not best_effort:
-                    raise
-        replies: List[Tuple[int, object]] = []
-        for w in polled:
-            try:
-                replies.append((w, self._recv(w)))
-            except WorkerCrashed:
-                if not best_effort:
-                    raise
-        return replies
+        """Control *op* to every worker: ``(worker, reply)`` in worker
+        order.  With *best_effort* dead workers are skipped instead of
+        raising."""
+        return self._exchange(
+            [(w, (op,)) for w in range(self.num_workers)], best_effort
+        )
 
     def snapshot(self, best_effort: bool = False) -> Dict[str, object]:
         """The workers' group snapshots merged into one document of the
@@ -680,10 +812,13 @@ class ShardWorkerPool:
     def profile_gather(
         self, best_effort: bool = False
     ) -> Dict[str, Dict[str, int]]:
-        """Folded-stack counts per profiled worker, keyed ``w<i>``.
+        """Folded-stack counts per profiled child process, keyed
+        ``w<i>`` for ``i`` in ``1 … W−1``.
 
-        Empty when the pool was built without ``profile=``; merge with
-        the parent's own profile via :func:`repro.obs.prof.merge_folded`.
+        Empty when the pool was built without ``profile=``.  Worker 0
+        runs in the calling process, so its stacks are in that
+        process's own profile; merge the two with
+        :func:`repro.obs.prof.merge_folded`.
         """
         return {
             f"w{w}": folded
@@ -713,41 +848,24 @@ class ShardWorkerPool:
         """All workers running and the pool not closed."""
         return (
             not self._closed
-            and bool(self._procs)
-            and all(p.is_alive() for p in self._procs)
+            and bool(self._workers)
+            and all(worker.alive for worker in self._workers)
         )
 
     def close(self, graceful: bool = True) -> None:
         """Shut the workers down (idempotent).
 
-        Graceful close sends each live worker the close op and joins
-        it; anything unresponsive is terminated.
+        Graceful close sends each live child the close op and waits for
+        it; anything unresponsive is terminated.  Worker 0's span spill
+        is closed either way.
         """
         if self._closed:
             return
         self._closed = True
-        if graceful:
-            for w, conn in enumerate(self._conns):
-                try:
-                    conn.send_bytes(b"!" + pickle.dumps(("c",)))
-                except (BrokenPipeError, OSError):
-                    pass
-            for w in range(len(self._conns)):
-                try:
-                    if self._conns[w].poll(1.0):
-                        self._conns[w].recv()
-                except (EOFError, OSError):
-                    pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=2.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        for worker in self._workers:
+            worker.stop(graceful)
+        for worker in self._workers:
+            worker.join()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

@@ -112,3 +112,82 @@ class TestLedgerFromRun:
         assert sum(led.request_count(p) for p in led.request_times) == t.length
         # Evictions per user equal engine misses minus final residents.
         assert led.total_evictions_by_user()[0] == r.misses - len(r.final_cache)
+
+
+class TestLockstepZ:
+    """z of an interval outside the cache rises with every later y jump
+    until it is settled, kept as a running sum."""
+
+    def test_accrue_settle_and_fold(self):
+        led = PrimalDualLedger(num_pages=3, num_users=1, T=10)
+        for page in (0, 1, 2):
+            led.record_request(page, page)
+        led.record_y_jump(3, 1.0)  # before anything is outside: no z
+        led.accrue_z(0)
+        led.record_y_jump(4, 2.0)
+        led.accrue_z(1)
+        led.record_y_jump(5, 0.5)
+        assert led.z == {(0, 1): 2.5, (1, 1): 0.5}  # open intervals folded
+        led.z[(2, 1)] = 7.0  # the read dict stays editable
+        led.settle_z(0)  # the jump serves page 0: settled first
+        led.record_y_jump(6, 4.0)
+        led.record_request(0, 6)
+        led.record_y_jump(7, 8.0)
+        assert led.z == {(0, 1): 2.5, (1, 1): 12.5, (2, 1): 7.0}
+        led.settle_z(1)
+        led.record_y_jump(8, 16.0)
+        assert led.z[(1, 1)] == 12.5
+        assert led.y.tolist()[3:9] == [1.0, 2.0, 0.5, 4.0, 8.0, 16.0]
+
+    def test_running_sum_keeps_small_z_after_large_y(self):
+        led = PrimalDualLedger(num_pages=1, num_users=1, T=3000)
+        led.record_request(0, 0)
+        for t in range(1, 2000):
+            led.record_y_jump(t, 1e6 + 0.1)
+        led.accrue_z(0)
+        for t in range(2000, 2010):
+            led.record_y_jump(t, 1e-7)
+        assert led.z[(0, 1)] == pytest.approx(1e-6, rel=1e-9)
+
+    @pytest.mark.parametrize("family", ["monomial", "sla"])
+    def test_matches_per_page_raise(self, family):
+        """ALG-CONT's z equals the per-page raise of every page outside
+        the cache but p_t on every jump (the definition, computed
+        incrementally alongside the run)."""
+        from repro.core.cost_functions import PiecewiseLinearCost
+        from repro.workloads.builders import random_multi_tenant_trace
+
+        trace = random_multi_tenant_trace(5, 352, 6_000, skew=0.8, seed=3)
+        if family == "monomial":
+            costs = [MonomialCost(2)] * trace.num_users
+        else:
+            costs = [
+                PiecewiseLinearCost.sla(a, s)
+                for a, s in ((13, 0.37), (29, 1.13), (7, 2.71), (41, 0.59), (3, 0.3))
+            ]
+
+        class PerPageZ(AlgContinuous):
+            def reset(self, ctx):
+                super().reset(ctx)
+                self.ref_z = {}
+                self.outside = set()
+
+            def on_insert(self, page, t):
+                self.outside.discard(page)
+                super().on_insert(page, t)
+
+            def on_evict(self, page, t):
+                delta = self.budget_of(page)
+                for p in self.outside:
+                    if delta and p != self._pending_request:
+                        key = (p, self.ledger.current_interval(p))
+                        self.ref_z[key] = self.ref_z.get(key, 0.0) + delta
+                super().on_evict(page, t)
+                self.outside.add(page)
+
+        alg = PerPageZ()
+        simulate(trace, alg, 300, costs=costs)
+        z = alg.ledger.z
+        assert set(z) == set(alg.ref_z) and len(z) > 1000
+        for key, want in alg.ref_z.items():
+            assert abs(z[key] - want) <= 1e-9 * max(1.0, abs(want)), key

@@ -128,6 +128,34 @@ class TestInjectedViolations:
         assert flag.magnitude > 0
         assert flag.t == trace.length + 1
 
+    def test_budget_drift_flags_once_per_tenant_per_sample(self):
+        """A drift that pushes all 128 resident budgets negative raises
+        at most one flag per tenant per sample (not one per page), each
+        naming its tenant's worst page and the count."""
+        trace = random_multi_tenant_trace(4, 100, 5000, seed=2)
+        costs = [MonomialCost(2)] * trace.num_users
+        policy = repro.make_policy("alg-discrete")
+        run = watch_simulation(trace, policy, 128, costs, every=500)
+        mon = run.monitor
+        assert mon.ok
+        policy._y += 1e9
+        budgets = policy.resident_budgets()
+        assert len(budgets) == 128 and max(budgets.values()) < 0
+        for i in range(1, 4):
+            mon.sample(trace.length + i, run.user_misses, policies=(policy,))
+            new = [f for f in mon.flags if f.t == trace.length + i]
+            assert 0 < len(new) <= trace.num_users
+            assert {f.kind for f in new} == {"budget-nonneg"}
+            assert len({f.tenant for f in new}) == len(new)
+        assert len(mon.flags) <= 3 * trace.num_users
+        owners = trace.owners.tolist()
+        for flag in new:
+            mine = {p: b for p, b in budgets.items() if owners[p] == flag.tenant}
+            page = min(mine, key=mine.get)
+            assert flag.magnitude == -mine[page]
+            assert f"resident page {page} " in flag.detail
+            assert f"({len(mine)} negative resident pages)" in flag.detail
+
     def test_fresh_budget_drift_is_caught(self, costs):
         class FakePolicy:
             derivative_mode = "continuous"

@@ -19,6 +19,7 @@ import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.obs.flight import load_flight
 from repro.obs.timeline import Timeline
 from repro.policies import POLICY_REGISTRY
 from repro.serve import (
+    ApplyFailed,
     CacheServer,
     ServerClosed,
     ShardWorkerPool,
@@ -115,7 +117,7 @@ def test_large_exchanges_ride_the_pipe():
             except FutureTimeout:
                 big.close(graceful=False)  # unblocks the stuck exchange
                 pytest.fail(f"{batch}-request exchange did not finish")
-        assert max(len(buf) for buf in big._staging) > 1_000_000
+        assert max(len(w.staging) for w in big._workers[1:]) > 1_000_000
         flags_small = drive(small, trace, batch=64)
         assert np.array_equal(flags_big, flags_small)
     finally:
@@ -393,6 +395,9 @@ def test_worker_crash_fails_futures_and_dumps_flight(tmp_path):
     assert obs.flight.last_dump_reason == "worker-crash"
     events = load_flight(dump)
     assert len(events.events) > 0
+    # At W=2 the killed process was the only child; worker 0 runs in the
+    # server process and survives, so the dump is its window alone.
+    assert {ev.shard for ev in events.events} <= {0, 2}
     # Post-crash scrapes still answer from the cached best-effort view.
     # Post-crash scrapes still answer from the surviving workers' view.
     stats = server.stats()
@@ -449,12 +454,82 @@ def test_simulate_many_chunksize_is_result_invariant():
 
 def test_repro_obs_off_parallel_serving(monkeypatch):
     """REPRO_OBS=off must not break the parallel path (workers skip
-    timing/monitor/flight work entirely)."""
+    timing/monitor/flight work entirely) nor change its results."""
     monkeypatch.setenv("REPRO_OBS", "off")
     trace = zipf_trace(100, 800, skew=1.0, seed=4)
     costs = [MonomialCost(2)] * trace.num_users
     report = serve_trace(
         trace, "lru", 32, costs, num_shards=2, policy_seed=SEED, workers=2
     )
+    single = serve_trace(
+        trace, "lru", 32, costs, num_shards=2, policy_seed=SEED, workers=1
+    )
     assert report.hits + report.misses == trace.length
     assert report.stats["workers"] == 2
+    assert report.user_misses.tolist() == single.user_misses.tolist()
+
+
+class _FailingLRU(POLICY_REGISTRY["lru"]):
+    """LRU whose ``choose_victim`` raises for the pages in *bad*."""
+
+    def __init__(self, bad):
+        super().__init__()
+        self._bad = bad
+
+    def choose_victim(self, page, t):
+        if page in self._bad:
+            raise ValueError(f"refusing to evict for page {page}")
+        return super().choose_victim(page, t)
+
+
+@pytest.mark.parametrize(
+    "workers, shards, bad_shard",
+    [(1, 1, 0), (2, 2, 0), (2, 2, 1)],
+    ids=["w1-s1", "w2-bad-first", "w2-bad-last"],
+)
+def test_apply_error_answers_every_request(tmp_path, workers, shards, bad_shard):
+    """A policy that raises while applying closes the server instead of
+    killing the consumer: the pending batch and later submissions fail
+    with a ServerClosed naming the cause, the flight window is dumped,
+    and stop() and stats() still answer.  At W=2 the bad shard is on
+    worker 0 (in the server process) or on the worker process, and the
+    other worker's reply of the failed exchange is read, not left in
+    its pipe for the next gather.  Only the worker process's error is a
+    crash: in the server process it is an ApplyFailed at any W."""
+    trace = random_multi_tenant_trace(4, 60, 4000, seed=3)
+    shard_of = shard_table(trace.num_pages, shards)
+    bad = frozenset(np.nonzero(shard_of == bad_shard)[0].tolist())
+    dump = str(tmp_path / "error-flight.jsonl")
+    obs = Observability()
+    obs.flight = FlightRecorder(capacity=8192, dump_path=dump)
+
+    in_child = bad_shard % workers != 0
+    expected = WorkerCrashed if in_child else ApplyFailed
+
+    async def run():
+        server = CacheServer(
+            partial(_FailingLRU, bad), 16, trace.owners,
+            num_shards=shards, workers=workers, obs=obs,
+        )
+        await server.start()
+        try:
+            with pytest.raises(expected, match="ValueError: refusing"):
+                await asyncio.wait_for(
+                    server.request_many(trace.requests[:2000].tolist()),
+                    timeout=30,
+                )
+            with pytest.raises(ServerClosed):
+                await asyncio.wait_for(server.request(5), timeout=5)
+        finally:
+            await asyncio.wait_for(server.stop(), timeout=30)
+        return server
+
+    server = asyncio.run(run())
+    assert obs.flight.last_dump_reason == (
+        "worker-crash" if in_child else "apply-error"
+    )
+    assert server._crashes == int(in_child)
+    assert len(load_flight(dump).events) > 0
+    stats = server.stats()
+    assert stats["workers"] == workers
+    assert stats["requests"] >= 0
