@@ -78,7 +78,7 @@ def main():
                 flight.dump_jsonl(reason="invariant-drift")
                 dumped_at = t
                 print(f"[t={t}] auto-dump -> {dump_path}")
-        hit, _victim = shard.serve(page, t)
+        hit, _victim, _shard = mgr.serve(page, t)
         if not hit:
             misses[owners[page]] += 1
 

@@ -209,7 +209,7 @@ class AlgDiscrete(EvictionPolicy):
         self._heaps[user].update(page, self._fresh[user] + self._y - self._V[user])
         self._stale[user] = None
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         """Eviction counts are frozen within a hit run, so the per-user
         fresh budget is constant and refreshing a page is idempotent:
         refresh each distinct page exactly once."""

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cost_functions import CostFunction, MonomialCost
-from repro.sim.engine import SimResult, simulate
+from repro.sim.engine import CacheState, SimResult, simulate
 from repro.sim.policy import EvictionPolicy, SimContext
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
@@ -72,10 +72,11 @@ class AdaptiveAdversary:
     ) -> AdversarialRun:
         """Drive *policy*; return the generated trace and online result.
 
-        Mirrors the engine loop exactly (hit/insert/evict callbacks) —
-        property tests cross-check by re-simulating the recorded trace
-        through :func:`repro.sim.engine.simulate` and asserting
-        identical miss counts.
+        Every request goes through the engine's own miss step
+        (:meth:`repro.sim.engine.CacheState.admit`) — property tests
+        cross-check by re-simulating the recorded trace through
+        :func:`repro.sim.engine.simulate` and asserting identical miss
+        counts.
         """
         n, T, k = self.n, self.T, self.n - 1
         owners = np.arange(n, dtype=np.int64)  # page i owned by user i
@@ -95,42 +96,15 @@ class AdaptiveAdversary:
         )
         policy.reset(ctx)
 
-        cache: set[int] = set()
+        state = CacheState(policy, k, n)
         requests: List[int] = []
-        user_misses = np.zeros(n, dtype=np.int64)
-        hits = 0
-        all_pages = set(range(n))
-
         for t in range(T):
-            if len(cache) < k:
-                # Warm-up: deterministic fill with pages 0, 1, ...
-                page = t % n
-                while page in cache:
-                    page = (page + 1) % n
-            else:
-                missing = all_pages - cache
-                # Exactly one page is missing once the cache is full.
-                page = min(missing)
+            # The smallest non-resident page: 0, 1, ... while the cache
+            # fills, then the one page left out, so every request misses.
+            page = state.res.index(0)
             requests.append(page)
-
-            if page in cache:
-                hits += 1
-                policy.on_hit(page, t)
-                continue
-            user_misses[page] += 1  # owner(page) == page index
-            if len(cache) < k:
-                cache.add(page)
-                policy.on_insert(page, t)
-            else:
-                victim = policy.choose_victim(page, t)
-                if victim not in cache or victim == page:
-                    raise RuntimeError(
-                        f"{policy.name} returned invalid victim {victim} at t={t}"
-                    )
-                cache.remove(victim)
-                policy.on_evict(victim, t)
-                cache.add(page)
-                policy.on_insert(page, t)
+            state.admit(page, t)
+        user_misses = np.bincount(requests, minlength=n)  # owner(page) == page
 
         trace = Trace(
             np.asarray(requests, dtype=np.int64),
@@ -141,10 +115,10 @@ class AdaptiveAdversary:
             policy_name=policy.name,
             trace_name=trace.name,
             k=k,
-            hits=hits,
+            hits=0,
             misses=int(user_misses.sum()),
             user_misses=user_misses,
-            final_cache=sorted(cache),
+            final_cache=state.resident(),
         )
         return AdversarialRun(trace=trace, online_result=result)
 

@@ -9,7 +9,7 @@ and re-routes its future requests to the new one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from repro.core.alg_discrete import AlgDiscrete
 from repro.core.cost_functions import CostFunction
 from repro.multipool.assignment import AssignmentStrategy
 from repro.multipool.model import MultiPoolResult, PoolSystem
+from repro.sim.engine import CacheState
 from repro.sim.policy import EvictionPolicy, SimContext
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
@@ -59,10 +60,9 @@ def simulate_multipool(
     if assignment.size != n or assignment.min() < 0 or assignment.max() >= system.num_pools:
         raise ValueError("strategy returned an invalid assignment")
 
-    # Per-pool policy + cache. Policies see the full owner/cost tables;
-    # they only ever meet pages routed to their pool.
-    policies: List[EvictionPolicy] = []
-    caches: List[Set[int]] = []
+    # One kernel cache state per pool. Policies see the full owner/cost
+    # tables; they only ever meet pages routed to their pool.
+    pools: List[CacheState] = []
     for p in range(system.num_pools):
         policy = policy_factory()
         if policy.requires_future:
@@ -77,8 +77,7 @@ def simulate_multipool(
             horizon=trace.length,
         )
         policy.reset(ctx)
-        policies.append(policy)
-        caches.append(set())
+        pools.append(CacheState(policy, ctx.k, trace.num_pages, label=f"pool {p} policy"))
 
     user_misses = np.zeros(n, dtype=np.int64)
     epoch_misses = np.zeros(n, dtype=np.int64)
@@ -92,30 +91,17 @@ def simulate_multipool(
         page = int(requests[t])
         user = int(owners[page])
         pool = int(assignment[user])
-        cache = caches[pool]
-        policy = policies[pool]
-        if page in cache:
-            policy.on_hit(page, t)
+        cache = pools[pool]
+        if cache.res[page]:
+            cache.policy.on_hit(page, t)
         else:
             user_misses[user] += 1
             epoch_misses[user] += 1
             per_pool_misses[pool] += 1
-            if len(cache) < system.capacities[pool]:
-                cache.add(page)
-                policy.on_insert(page, t)
-                resident_by_user[user] += 1
-            else:
-                victim = policy.choose_victim(page, t)
-                if victim not in cache or victim == page:
-                    raise RuntimeError(
-                        f"pool {pool} policy returned invalid victim {victim} at t={t}"
-                    )
-                cache.remove(victim)
-                policy.on_evict(victim, t)
+            victim = cache.admit(page, t)
+            resident_by_user[user] += 1
+            if victim is not None:
                 resident_by_user[int(owners[victim])] -= 1
-                cache.add(page)
-                policy.on_insert(page, t)
-                resident_by_user[user] += 1
 
         # Epoch boundary: offer the strategy one migration.
         if (t + 1) % epoch_length == 0:
@@ -134,14 +120,11 @@ def simulate_multipool(
                     raise ValueError(f"strategy chose invalid pool {new_pool}")
                 if new_pool != old_pool:
                     # Flush the user's resident pages from the old pool.
-                    old_cache = caches[old_pool]
-                    old_policy = policies[old_pool]
-                    for resident in [
-                        q for q in old_cache if int(owners[q]) == mig_user
-                    ]:
-                        old_cache.remove(resident)
-                        old_policy.on_flush(resident, t)
-                        resident_by_user[mig_user] -= 1
+                    old_cache = pools[old_pool]
+                    for resident in old_cache.resident():
+                        if int(owners[resident]) == mig_user:
+                            old_cache.flush(resident, t)
+                            resident_by_user[mig_user] -= 1
                     assignment[mig_user] = new_pool
                     migrations += 1
             epoch_misses[:] = 0

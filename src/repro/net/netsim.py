@@ -18,11 +18,11 @@ Per-request mechanics
    request, a **miss** forwards it upstream.  The origin always
    serves.
 3. On the way back, the **admission strategy** picks which missing
-   caches store a copy.  Each admission runs the engine's exact miss
-   mechanics against that node's policy (space → insert; full → the
-   policy's ``choose_victim`` + evict + insert), so per-node behaviour
-   is attributable to the policy alone — the same engine/policy split
-   as :mod:`repro.sim.engine`.
+   caches store a copy.  Each admission is the engine's own miss step
+   (:meth:`repro.sim.engine.CacheState.admit`) against that node's
+   policy (space → insert; full → the policy's ``choose_victim`` +
+   evict + insert): every node is a kernel cache state, so per-node
+   behaviour is attributable to the policy alone.
 4. End-to-end **latency** (read delays of every link crossed, both
    directions) lands in an exact :class:`~repro.net.metrics.LatencyDist`;
    admissions charge their node's uplink ``write_delay`` to the
@@ -76,7 +76,8 @@ from repro.net.strategies import (
 )
 from repro.net.topology import Topology
 from repro.obs import Observability, default_observability
-from repro.obs.flight import FlightRecorder, has_budget_probe, record_miss
+from repro.obs.flight import FlightRecorder
+from repro.sim.engine import CacheState
 from repro.sim.policy import EvictionPolicy, SimContext
 from repro.sim.trace import DEFAULT_BATCH, Trace
 from repro.util.rng import derive_seed
@@ -87,21 +88,24 @@ INGRESS_MODES = ("auto", "hash", "rr", "tenant")
 
 PolicySpec = Union[str, Callable[..., EvictionPolicy]]
 
-class _NodeState:
-    """Runtime state of one cache node (engine mechanics, stepwise).
+class _NodeState(CacheState):
+    """Runtime state of one cache node: the kernel's cache state
+    (:class:`~repro.sim.engine.CacheState`: residency, the policy and
+    the miss step) plus what only a node has — its ingress queue, its
+    per-tenant ledgers and its write cost.
 
-    The ledgers are plain per-tenant lists, so a probe costs one list
+    The walk probes ``res`` and admits through :meth:`admit`.  The
+    ledgers are plain per-tenant lists, so a probe costs one list
     increment; :meth:`stats` derives the hit, miss and rejection
     counts from them and hands them out as int64 arrays.  ``on_hit``
     is bound from the policy instance when the state is built."""
 
     __slots__ = (
-        "node_id", "name", "k", "policy", "on_hit", "res", "size",
-        "validate", "admissions", "evictions",
+        "node_id", "name", "on_hit",
         "tenant_hits", "tenant_misses", "tenant_rejected", "write_cost",
         "uplink_write_delay",
         "queue_capacity", "drain_rate", "queue_len", "queue_last_t",
-        "queue_peak", "flight", "fl_append", "fl_probe",
+        "queue_peak",
     )
 
     def __init__(
@@ -117,16 +121,12 @@ class _NodeState:
         drain_rate: float,
         validate: bool,
     ) -> None:
+        super().__init__(
+            policy, k, num_pages, validate=validate, label=f"{policy.name}@{name}"
+        )
         self.node_id = node_id
         self.name = name
-        self.k = k
-        self.policy = policy
         self.on_hit = policy.on_hit
-        self.res = [False] * max(num_pages, 1)
-        self.size = 0
-        self.validate = validate
-        self.admissions = 0
-        self.evictions = 0
         self.write_cost = 0.0
         self.tenant_hits = [0] * max(num_users, 1)
         self.tenant_misses = [0] * max(num_users, 1)
@@ -137,9 +137,11 @@ class _NodeState:
         self.queue_len = 0.0
         self.queue_last_t = 0
         self.queue_peak = 0.0
-        self.flight: Optional[FlightRecorder] = None
-        self.fl_append = None
-        self.fl_probe = False
+
+    @property
+    def admissions(self) -> int:
+        """Copies stored: every admission filled a slot or evicted."""
+        return self.size + self.evictions
 
     # -- queue ----------------------------------------------------------
     def queue_admits(self, t: int) -> bool:
@@ -158,58 +160,6 @@ class _NodeState:
             self.queue_peak = q
         return True
 
-    # -- engine mechanics ----------------------------------------------
-    def insert(self, page: int, tenant: int, t: int) -> bool:
-        """Admit *page*: the reference engine's miss path, stepwise.
-
-        Returns whether a copy was actually stored — a no-op (``False``)
-        when the page is already resident, so an admission strategy that
-        nominates the same node twice cannot corrupt occupancy or evict
-        the page it is admitting."""
-        if self.res[page]:
-            return False
-        policy = self.policy
-        if self.size < self.k:
-            self.res[page] = True
-            self.size += 1
-            policy.on_insert(page, t)
-            self.admissions += 1
-            if self.fl_append is not None:
-                record_miss(
-                    self.fl_append, policy, self.fl_probe,
-                    tenant, t, page, 0, None, None,
-                )
-            return True
-        victim = policy.choose_victim(page, t)
-        if self.validate:
-            if victim < 0 or victim >= len(self.res) or not self.res[victim]:
-                raise RuntimeError(
-                    f"{policy.name}@{self.name} evicted non-resident page "
-                    f"{victim} at t={t}"
-                )
-            if victim == page:
-                raise RuntimeError(
-                    f"{policy.name}@{self.name} evicted the requested page "
-                    f"{page} at t={t}"
-                )
-        b_before = (
-            float(policy.budget_of(victim))
-            if self.fl_append is not None and self.fl_probe
-            else None
-        )
-        self.res[victim] = False
-        policy.on_evict(victim, t)
-        self.res[page] = True
-        policy.on_insert(page, t)
-        self.evictions += 1
-        self.admissions += 1
-        if self.fl_append is not None:
-            record_miss(
-                self.fl_append, policy, self.fl_probe,
-                tenant, t, page, 0, victim, b_before,
-            )
-        return True
-
     def stats(self, policy_name: str) -> NodeStats:
         return NodeStats(
             node_id=self.node_id,
@@ -225,7 +175,7 @@ class _NodeState:
             tenant_hits=np.array(self.tenant_hits, dtype=np.int64),
             tenant_misses=np.array(self.tenant_misses, dtype=np.int64),
             tenant_rejected=np.array(self.tenant_rejected, dtype=np.int64),
-            final_cache=list(itertools.compress(itertools.count(), self.res)),
+            final_cache=self.resident(),
             queue_peak=self.queue_peak,
         )
 
@@ -623,7 +573,6 @@ class NetworkSim:
             for spec in cache_nodes:
                 st = states[spec.node_id]
                 fl = FlightRecorder(capacity=self.flight_capacity)
-                fl.bind(owners_l)
                 fl.note_config(
                     policy=instances[spec.node_id].name,
                     k=spec.k,
@@ -637,9 +586,7 @@ class NetworkSim:
                         else self.policy_seed + spec.node_id
                     ),
                 )
-                st.flight = fl
-                st.fl_append = fl.append
-                st.fl_probe = has_budget_probe(instances[spec.node_id])
+                st.attach_flight(fl, owners_l)
                 self.flights[spec.node_id] = fl
 
         strategy = self.strategy
@@ -755,9 +702,11 @@ class NetworkSim:
                     latency.add(2.0 * lat)
 
                 if miss_path:
+                    # A node nominated twice stores one copy.
                     for v in admit(miss_path, hit_node, page, t):
                         st = states[v]
-                        if st.insert(page, tenant, t):
+                        if not st.res[page]:
+                            st.admit(page, t)
                             st.write_cost += st.uplink_write_delay
                     miss_path = []
                 t += 1

@@ -26,8 +26,10 @@ pipeline needs:
   materialized trace and run serially.
 
 Per-node mechanics reuse :class:`repro.net.netsim._NodeState` — the
-same residency/insert/evict/queue code the serial engine runs, so
-equivalence is by construction, not by parallel reimplementation.
+kernel's residency and miss step
+(:class:`repro.sim.engine.CacheState`) plus the node's queue, the same
+code the serial engine runs, so equivalence is by construction, not by
+parallel reimplementation.
 Flight recorders ride along: each worker records its own window and
 ships the ring back at EOF.
 
@@ -54,7 +56,7 @@ import numpy as np
 
 from repro.net.metrics import LatencyDist, NetResult, NodeStats
 from repro.net.strategies import RouteToOrigin
-from repro.obs.flight import FlightRecorder, has_budget_probe
+from repro.obs.flight import FlightRecorder
 from repro.sim.policy import SimContext
 from repro.sim.trace import DEFAULT_BATCH
 
@@ -105,11 +107,8 @@ def _node_worker(recv, send, result, cfg) -> None:
         fl: Optional[FlightRecorder] = None
         if cfg["flight_capacity"]:
             fl = FlightRecorder(capacity=cfg["flight_capacity"])
-            fl.bind(owners_l)
             fl.note_config(**cfg["flight_meta"])
-            st.flight = fl
-            st.fl_append = fl.append
-            st.fl_probe = has_budget_probe(policy)
+            st.attach_flight(fl, owners_l)
 
         strategy = cfg["strategy"]
         strategy.reset(topo, cfg["seed"])
@@ -180,8 +179,8 @@ def _node_worker(recv, send, result, cfg) -> None:
                     continue
                 tenant_misses[owners_l[page]] += 1
                 if admit_local(node_id, missed_below, page, t):
-                    if st.insert(page, owners_l[page], t):
-                        st.write_cost += uplink_wd
+                    st.admit(page, t)
+                    st.write_cost += uplink_wd
                 out_t.append(t)
                 out_p.append(page)
                 out_f.append(True)

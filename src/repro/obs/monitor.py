@@ -336,8 +336,8 @@ def watch_simulation(
     """Replay *trace* stepwise, sampling *monitor* every *every* requests.
 
     Serves through a :class:`~repro.serve.shard.ShardGroup` over a
-    single shard — the serving core of a ``workers=1`` server, whose
-    mechanics are the reference engine's unrolled — so hits/misses/
+    single shard — the serving core of a ``workers=1`` server, which
+    applies requests through the engine's own kernel — so hits/misses/
     user_misses are bit-identical to ``simulate(trace, policy, k)``
     while the monitor observes the live policy mid-run — the property
     ``tests/test_obs_monitor.py`` enforces.
@@ -352,7 +352,7 @@ def watch_simulation(
     # Imported lazily: repro.serve pulls in the server, which imports
     # this module.
     from repro.serve.accounting import CostLedger
-    from repro.serve.shard import ShardGroup, ShardManager
+    from repro.serve.shard import ShardGroup, ShardManager, hit_flags
 
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
@@ -384,9 +384,9 @@ def watch_simulation(
         )
     for t0, batch in trace.batches(every):
         pages = batch.tolist()
-        flags = group.apply(pages, range(t0, t0 + len(pages)))
+        misses = group.apply(pages, range(t0, t0 + len(pages)))
         if auditor is not None:
-            for page, hit in zip(pages, flags):
+            for page, hit in zip(pages, hit_flags(len(pages), misses)):
                 auditor.observe(page, owners[page], hit)
     if trace.length % every != 0:  # final partial-interval sample
         group.sample(trace.length)

@@ -78,7 +78,7 @@ class ARCPolicy(EvictionPolicy):
         # Case I: hit in T1 or T2 -> promote to MRU of T2.
         self._move(page, "t2")
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # Each hit is a remove + append into T2, so the final T2 order
         # depends only on the order of last occurrences.
         move = self._move
@@ -175,7 +175,7 @@ class TwoQueuePolicy(EvictionPolicy):
             self._am.move_to_tail(self._nodes[page])
         # A hit in A1in leaves the page in FIFO order (the 2Q rule).
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # Hits on A1in pages are no-ops; Am moves collapse to last
         # occurrences like LRU.
         where = self._where

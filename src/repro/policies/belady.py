@@ -49,14 +49,10 @@ class BeladyPolicy(EvictionPolicy):
     def on_hit(self, page: int, t: int) -> None:
         self._heap.update(page, self._key(t))
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # Only a page's last occurrence in the run determines its final
         # next-use key (no pops happen between hits).
-        last = {}
-        t = t0
-        for page in pages:
-            last[page] = t
-            t += 1
+        last = dict(zip(pages, ts))
         update = self._heap.update
         key = self._key
         for page, tp in last.items():

@@ -64,7 +64,7 @@ class ClockPolicy(EvictionPolicy):
     def on_hit(self, page: int, t: int) -> None:
         self._referenced[page] = True
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # Setting a reference bit is idempotent and order-free.
         referenced = self._referenced
         for page in pages:

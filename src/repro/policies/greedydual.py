@@ -107,7 +107,7 @@ class GreedyDualPolicy(EvictionPolicy):
     def on_hit(self, page: int, t: int) -> None:
         self._heap.update(page, self._credit(page))
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # The level L only moves on evictions, so every hit in a run
         # refreshes to the same credit: refresh each distinct page once.
         update = self._heap.update

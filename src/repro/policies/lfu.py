@@ -41,7 +41,7 @@ class LFUPolicy(EvictionPolicy):
         self._counts[page] = self._counts.get(page, 0) + 1
         self._heap.update(page, self._counts[page])
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # One bump of `count` replaces `count` bumps of one; the heap
         # sees only the final key either way (no pops within a run).
         counts = self._counts

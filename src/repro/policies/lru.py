@@ -32,7 +32,7 @@ class LRUPolicy(EvictionPolicy):
     def on_hit(self, page: int, t: int) -> None:
         self._order.move_to_end(page)
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # The recency order after a run depends only on the order of
         # each page's last occurrence, so move each distinct page once.
         # For tiny runs the dedupe costs more than the moves it saves.
@@ -75,7 +75,7 @@ class MRUPolicy(EvictionPolicy):
     def on_hit(self, page: int, t: int) -> None:
         self._order.move_to_end(page)
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # Same argument as LRU: only each page's last occurrence matters.
         move = self._order.move_to_end
         if len(pages) <= 8:

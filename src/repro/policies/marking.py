@@ -39,7 +39,7 @@ class MarkingPolicy(EvictionPolicy):
         self._marked.add(page)
         self._order.move_to_tail(self._nodes[page])
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # Marks are a set union; the LRU tie-break order depends only on
         # each page's last occurrence (same argument as LRUPolicy).
         self._marked.update(pages)
@@ -97,7 +97,7 @@ class RandomizedMarkingPolicy(EvictionPolicy):
     def on_hit(self, page: int, t: int) -> None:
         self._marked.add(page)
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         self._marked.update(pages)
 
     def on_insert(self, page: int, t: int) -> None:

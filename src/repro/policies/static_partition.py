@@ -68,7 +68,7 @@ class StaticPartitionLRU(EvictionPolicy):
         user = int(self._owners[page])
         self._lists[user].move_to_tail(self._nodes[page])
 
-    def on_hit_batch(self, pages, t0: int) -> None:
+    def on_hit_batch(self, pages, ts) -> None:
         # Per-partition recency depends only on last occurrences, and
         # hits never change partition occupancy.
         owners = self._owners_list

@@ -62,7 +62,7 @@ from repro.obs.distrib import emit_span
 from repro.obs.registry import CollectedFamily
 from repro.obs.timeline import Timeline
 from repro.serve.accounting import CostLedger
-from repro.serve.shard import PolicySpec, ShardGroup, ShardManager
+from repro.serve.shard import PolicySpec, ShardGroup, ShardManager, hit_flags
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
 
@@ -853,6 +853,8 @@ class CacheServer:
             t_route = perf_counter()
         if pool is None:
             served = self._group.apply(pages, range(t0, t0 + len(pages)), detail)
+            if not detail:
+                served = hit_flags(len(pages), served)
         elif detail:
             served = pool.apply_detail(np.asarray(pages, dtype=np.int64), t0)
         else:
@@ -900,11 +902,11 @@ class CacheServer:
                     )
                 ]
             else:
-                hit_flags = flags[lo:hi]
-                hits = sum(hit_flags)
+                item_flags = flags[lo:hi]
+                hits = sum(item_flags)
                 result = BatchOutcome(
                     t0=t0 + lo, hits=hits, misses=hi - lo - hits,
-                    hit_flags=hit_flags,
+                    hit_flags=item_flags,
                 )
             if credits is not None and gates is not None:
                 for tenant, n in credits:

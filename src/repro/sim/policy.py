@@ -11,23 +11,29 @@ rule alone.
 Lifecycle per simulation::
 
     policy.reset(ctx)                  # fresh state, sees k / owners / costs
-    for t, page in enumerate(trace):
+    for t, page in requests:           # t strictly increasing
         if hit:      policy.on_hit(page, t)
         elif space:  policy.on_insert(page, t)
         else:        victim = policy.choose_victim(page, t)
                      policy.on_evict(victim, t)      # engine notifies
                      policy.on_insert(page, t)
 
-The fast engine (:func:`repro.sim.engine.simulate` with the default
-``engine="auto"``) delivers consecutive hits *between* two misses as one
+Every path applies requests through one kernel,
+:class:`repro.sim.engine.CacheState` — the simulator, each serving
+shard on its subsequence of the global clock, each network node — so
+the times a policy sees increase strictly but may have gaps.
+
+The kernel delivers consecutive hits *between* two misses as one
 :meth:`EvictionPolicy.on_hit_batch` call instead of per-request
-:meth:`~EvictionPolicy.on_hit` calls.  Residency only changes on misses,
-so a policy observes exactly the same information either way; the
+:meth:`~EvictionPolicy.on_hit` calls (after a batch of short runs it
+delivers each hit through ``on_hit``, which is cheaper there).
+Residency only changes on misses, so a policy observes exactly the
+same information either way; the
 default ``on_hit_batch`` loops ``on_hit`` and is therefore always
 correct, while policies whose hit bookkeeping collapses (recency moves
 where only the last occurrence matters, idempotent refreshes, counter
 bumps) override it with a tuned version.  Policies that ignore hits
-entirely (FIFO, Random) declare ``ignores_hits = True`` and the engine
+entirely (FIFO, Random) declare ``ignores_hits = True`` and the kernel
 skips delivery altogether.
 
 Offline policies (Belady, the §4 batch strategy) set
@@ -121,10 +127,13 @@ class EvictionPolicy(ABC):
     def on_hit(self, page: int, t: int) -> None:
         """*page* was requested at time *t* and was resident."""
 
-    def on_hit_batch(self, pages: Sequence[int], t0: int) -> None:
+    def on_hit_batch(self, pages: Sequence[int], ts: Sequence[int]) -> None:
         """A maximal run of consecutive hits: ``pages[i]`` was requested
-        (and resident) at time ``t0 + i``; no misses occurred in between,
-        so residency was constant across the run.
+        (and resident) at time ``ts[i]``; no misses occurred in between,
+        so residency was constant across the run.  The times increase
+        strictly but need not be consecutive: a shard or a network node
+        sees a subsequence of the global clock.  The simulator passes a
+        ``range``.
 
         The default delivers each hit through :meth:`on_hit` in order,
         which is correct for every policy.  Override when the run can be
@@ -134,14 +143,13 @@ class EvictionPolicy(ABC):
         frequency counters can take one bump of ``count`` instead of
         ``count`` bumps of one.  An override must leave the policy in a
         state observably identical (victim choices, introspection) to
-        the per-hit loop; the engine-equivalence suite enforces this for
-        every registered policy.
+        the per-hit loop, gapped times included;
+        ``tests/test_kernel.py`` enforces this for every registered
+        policy.
         """
         on_hit = self.on_hit
-        t = t0
-        for page in pages:
+        for page, t in zip(pages, ts):
             on_hit(page, t)
-            t += 1
 
     def on_insert(self, page: int, t: int) -> None:
         """*page* was inserted at time *t* (after a miss)."""

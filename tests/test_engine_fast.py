@@ -133,8 +133,9 @@ class TestBatchProtocol:
             def choose_victim(self, page, t):
                 raise AssertionError("no evictions expected")
 
-        Recorder().on_hit_batch([4, 5, 4], 10)
-        assert seen == [(4, 10), (5, 11), (4, 12)]
+        # Gapped times, as a shard's subsequence of the global clock.
+        Recorder().on_hit_batch([4, 5, 4], [10, 13, 20])
+        assert seen == [(4, 10), (5, 13), (4, 20)]
 
     def test_ignores_hits_policies_really_ignore_them(self):
         # The engine skips callbacks for these; the flag must be honest.

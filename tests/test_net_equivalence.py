@@ -5,7 +5,7 @@ networks.
 ``page_hash`` picks a hashed ingress leaf, ``topo.route`` and
 ``prefix_read_delay`` are looked up on every request, the ledgers are
 numpy arrays and every request adds its own latency sample.  It drives
-``_NodeState.insert`` and ``queue_admits`` for the miss mechanics, so
+the node state's kernel miss step (``admit``) and ``queue_admits``, so
 what it checks is the walk: ingress, hop positions, rejections, the
 nearest-copy continuation, ledgers, latency and admission calls.  The
 property draws the topology, link delays, queues, strategy, routing,
@@ -34,7 +34,7 @@ from repro.net.topology import (
     single_node_topology,
     tree_topology,
 )
-from repro.obs.flight import FlightRecorder, has_budget_probe
+from repro.obs.flight import FlightRecorder
 from repro.serve.shard import page_hash
 from repro.sim.policy import SimContext
 from repro.workloads.builders import random_multi_tenant_trace
@@ -95,7 +95,6 @@ def reference_run(sim: NetworkSim, trace, batch: int):
         )
         if sim.flight_capacity is not None:
             fl = FlightRecorder(capacity=sim.flight_capacity)
-            fl.bind(owners_l)
             fl.note_config(
                 policy=inst.name,
                 k=spec.k,
@@ -109,9 +108,7 @@ def reference_run(sim: NetworkSim, trace, batch: int):
                     else sim.policy_seed + spec.node_id
                 ),
             )
-            st_.flight = fl
-            st_.fl_append = fl.append
-            st_.fl_probe = has_budget_probe(inst)
+            st_.attach_flight(fl, owners_l)
             flights[spec.node_id] = fl
         states[spec.node_id] = st_
         names[spec.node_id] = inst.name
@@ -188,7 +185,8 @@ def reference_run(sim: NetworkSim, trace, batch: int):
             if miss_path:
                 for v in strategy.admit(miss_path, hit_node, page, t):
                     node = states[v]
-                    if node.insert(page, tenant, t):
+                    if not node.res[page]:
+                        node.admit(page, t)
                         node.write_cost += node.uplink_write_delay
             total += 1
 

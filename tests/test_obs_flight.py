@@ -285,7 +285,7 @@ class TestServeAutoDump:
             # budgets, which would erase the damage before the sample.
             shard = server.shards.shards[0]
             shard.policy._y += 1e9
-            resident = sorted(shard.cache)[:8]
+            resident = shard.resident()[:8]
             await server.request_many(resident + resident)
             await server.stop()
             return fl, monitor

@@ -16,7 +16,7 @@ from repro.core.alg_discrete import AlgDiscrete
 from repro.core.cost_functions import LinearCost, MonomialCost, PiecewiseLinearCost
 from repro.policies import POLICY_REGISTRY
 from repro.serve import CostLedger, serve_trace
-from repro.serve.shard import ShardGroup, ShardManager, shard_table
+from repro.serve.shard import ShardGroup, ShardManager, hit_flags, shard_table
 from repro.sim import simulate, windowed_miss_counts
 from repro.sim.metrics import windowed_cost
 from repro.workloads.builders import random_multi_tenant_trace
@@ -25,8 +25,8 @@ from repro.workloads.builders import random_multi_tenant_trace
 def test_counters_and_costs():
     costs = [MonomialCost(2), LinearCost(3.0)]
     ledger = CostLedger(2, costs)
-    tenants, hits = zip((0, False), (0, False), (1, False), (0, True), (1, True))
-    ledger.record(tenants, hits, range(5))
+    # Tenants 0, 0, 1, 0, 1; the first three missed.
+    ledger.record([0, 0, 1, 0, 1], [0, 1, 2], range(5))
     assert ledger.total_requests == 5
     assert ledger.hits == 2 and ledger.misses == 3
     assert ledger.hits_by_user().tolist() == [1, 1]
@@ -48,7 +48,7 @@ def test_marginal_quote_is_the_fresh_budget():
     simulate(trace, policy, 16, costs=costs)
     ledger = CostLedger(trace.num_users, costs)
     for tenant, m in enumerate(policy.evictions_by_user):
-        ledger.record([tenant] * int(m), [False] * int(m), range(int(m)))
+        ledger.record([tenant] * int(m), range(int(m)), range(int(m)))
     for tenant in range(trace.num_users):
         assert ledger.marginal_quote(tenant) == pytest.approx(
             policy.fresh_budget(tenant)
@@ -57,7 +57,7 @@ def test_marginal_quote_is_the_fresh_budget():
 
 def test_no_costs_ledger_counts_but_refuses_quotes():
     ledger = CostLedger(2)
-    ledger.record([0], [False], [0])
+    ledger.record([0], [0], [0])
     assert ledger.misses == 1
     with pytest.raises(ValueError, match="no cost functions"):
         ledger.cost_of(0)
@@ -98,9 +98,9 @@ def test_windowed_cost_matches_metrics():
 def test_window_edge_cases():
     ledger = CostLedger(2, [MonomialCost(2)] * 2, window=4)
     assert ledger.windowed_miss_counts().shape == (0, 2)
-    ledger.record([0] * 4, [False] * 4, range(4))
+    ledger.record([0] * 4, range(4), range(4))
     assert ledger.windowed_miss_counts().tolist() == [[4, 0]]  # exactly full
-    ledger.record([1], [False], [4])
+    ledger.record([1], [0], [4])
     assert ledger.windowed_miss_counts().tolist() == [[4, 0], [0, 1]]  # partial
     assert ledger.windowed_cost() == pytest.approx(16.0 + 1.0)
     windowless = CostLedger(2, [MonomialCost(2)] * 2)
@@ -110,8 +110,8 @@ def test_window_edge_cases():
 
 def test_snapshot_is_jsonable_and_complete():
     ledger = CostLedger(2, [MonomialCost(2)] * 2, window=3)
-    tenants, hits = zip((0, False), (1, True), (0, False), (1, False))
-    ledger.record(tenants, hits, range(4))
+    # Tenants 0, 1, 0, 1; all but the second missed.
+    ledger.record([0, 1, 0, 1], [0, 2, 3], range(4))
     snap = ledger.snapshot()
     json.dumps(snap)
     assert snap["requests"] == 4
@@ -122,7 +122,7 @@ def test_snapshot_is_jsonable_and_complete():
 
 def test_merge_refuses_another_window():
     a = CostLedger(2, window=4)
-    a.record([0, 1], [False, True], [0, 1])
+    a.record([0, 1], [0], [0, 1])
     b = CostLedger(2, window=5)
     with pytest.raises(ValueError, match="window"):
         b.merge(a.counters())
@@ -192,7 +192,7 @@ def test_group_slices_merge_to_one_group(data):
     flags = []
     for lo, hi in zip(bounds, bounds[1:]):
         batch = reqs[lo:hi]
-        flags += whole.apply(batch.tolist(), range(lo, hi))
+        flags += hit_flags(hi - lo, whole.apply(batch.tolist(), range(lo, hi)))
         for g, sl in enumerate(slices):
             pos = np.nonzero(route[batch] == g)[0]
             if pos.size:

@@ -81,15 +81,6 @@ class TestShardManager:
             with pytest.raises(ValueError, match="shard_ids"):
                 ShardManager("lru", 4, 10, owners, shard_ids=bad)
 
-    def test_serve_batch_matches_serve(self):
-        trace = zipf_trace(120, 1500, skew=1.1, seed=4)
-        one = ShardManager("lru", 3, 24, trace.owners)
-        batched = ShardManager("lru", 3, 24, trace.owners)
-        pages = trace.requests.tolist()
-        flags = [one.serve(p, t)[0] for t, p in enumerate(pages)]
-        assert batched.serve_batch(pages, range(len(pages))) == flags
-        assert one.occupancy() == batched.occupancy()
-
     def test_instance_policy_requires_single_shard(self):
         ShardManager(LRUPolicy(), 1, 4, mt_owners())
         with pytest.raises(ValueError, match="pre-built"):
@@ -370,6 +361,33 @@ class TestTcpFrontEnd:
         assert batch_detail["ok"] and len(batch_detail["hit_flags"]) == 3
         for reply in not_objects:
             assert not reply["ok"] and reply["error"], reply
+
+
+    def test_serving_smoke_stats_equal_simulate(self):
+        """A 5,000-request TCP replay in batches of 200 into an
+        ALG-DISCRETE server: its stats equal ``simulate()`` — hits,
+        misses, the client's own hit count, per-tenant misses — and the
+        ingress queue is empty after the replay."""
+        trace = random_multi_tenant_trace(4, 60, 5_000, seed=0)
+        costs = [MonomialCost(2)] * trace.num_users
+
+        async def smoke():
+            server = CacheServer("alg-discrete", 64, trace.owners, costs)
+            await server.start()
+            host, port = await server.start_tcp()
+            stats = await replay_tcp(host, port, trace, batch=200)
+            await server.stop()
+            return stats
+
+        stats = run(smoke())
+        sim = simulate(trace, POLICY_REGISTRY["alg-discrete"](), 64, costs=costs)
+        assert stats["hits"] == sim.hits, (stats["hits"], sim.hits)
+        assert stats["misses"] == sim.misses
+        assert stats["client_hits"] == sim.hits
+        assert stats["queue_depth"] == 0
+        assert [row["misses"] for row in stats["tenants"]] == (
+            sim.user_misses.tolist()
+        )
 
 
 def sharded_hits(trace, policy, k, num_shards):
