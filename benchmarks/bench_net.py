@@ -2,7 +2,7 @@
 
 The network engine wraps the same miss mechanics as the simulator, so
 its per-node cost should track the reference engine's per-request
-loop; these cases keep the hierarchy paths (serial, per-node parallel,
+loop; these cases keep the hierarchy paths (to-origin on a path,
 nearest-copy on a tree) timed under pytest-benchmark. Measured numbers
 are snapshotted to BENCH_PR7.json by ``perf_trajectory.py``.
 """
@@ -15,11 +15,11 @@ from repro.net import NetworkSim, path_topology, tree_topology
 DEPTH = 3
 
 
-def _run_net(trace, topo, strategy, routing="to-origin", workers=None):
+def _run_net(trace, topo, strategy, routing="to-origin"):
     sim = NetworkSim(
         topo, "lru", strategy=strategy, routing=routing, validate=False
     )
-    result = sim.run(trace, workers=workers)
+    result = sim.run(trace)
     assert result.network_hits + result.origin_total == trace.length
     return result
 
@@ -42,17 +42,6 @@ def test_bench_net_tree_nearest_copy(benchmark, zipf_50k):
     topo = tree_topology(2, 2, 128)
     benchmark.pedantic(
         _run_net, args=(zipf_50k, topo, "lcd", "nearest-copy"), rounds=3
-    )
-
-
-def test_bench_net_parallel_per_node(benchmark, zipf_hot_50k):
-    """One OS process per node, pipes as links."""
-    topo = path_topology(DEPTH, 341)
-    benchmark.pedantic(
-        _run_net,
-        args=(zipf_hot_50k, topo, "lce"),
-        kwargs={"workers": "per-node"},
-        rounds=3,
     )
 
 

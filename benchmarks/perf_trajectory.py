@@ -41,7 +41,6 @@ store.
 
 A seventh section measures the cache-network layer (``repro.net``):
 serial hierarchy throughput per admission strategy on a 3-level path,
-per-node process-parallel vs serial (fingerprints asserted identical),
 and the flat-memory claim as a hard peak-RSS bound on a subprocess
 streaming a 10M-request columnar store through the path with per-node
 Prometheus scrapes and a clean flight replay on every node's window.
@@ -901,12 +900,11 @@ def outofcore_rows(trace, k: int, reps: int):
 
 def network_rows(trace, k: int, reps: int):
     """Cache-network section: serial hierarchy throughput per admission
-    strategy, per-node process-parallel vs serial with fingerprints
-    asserted identical, and the acceptance demo — a 3-node path
-    streaming a :data:`NET_RSS_REQUESTS`-request columnar store at
-    flat RSS with per-node Prometheus scrapes and a clean flight
-    replay on every node's window, all in a child process that
-    reports its own peak RSS.
+    strategy, and the acceptance demo — a 3-node path streaming a
+    :data:`NET_RSS_REQUESTS`-request columnar store at flat RSS with
+    per-node Prometheus scrapes and a clean flight replay on every
+    node's window, all in a child process that reports its own peak
+    RSS.
     """
     import subprocess
     import tempfile
@@ -917,10 +915,10 @@ def network_rows(trace, k: int, reps: int):
     per_level = max(1, k // NET_DEPTH)
     topo = path_topology(NET_DEPTH, per_level)
 
-    def run(strategy, workers=None):
+    def run(strategy):
         sim = NetworkSim(topo, "lru", strategy=strategy, validate=False)
         start = time.perf_counter()
-        result = sim.run(trace, workers=workers)
+        result = sim.run(trace)
         dt = time.perf_counter() - start
         return result, trace.length / dt
 
@@ -953,30 +951,6 @@ def network_rows(trace, k: int, reps: int):
             f"lat={result.latency.mean():.2f}"
         )
     rows["serial"] = serial_rows
-
-    # -- per-node parallel vs serial: identical, speedup recorded --
-    best_par = 0.0
-    for _ in range(reps):
-        par, rps = run("lce", workers="per-node")
-        best_par = max(best_par, rps)
-    ser = results["lce"]
-    assert list(par.origin_fetches) == list(ser.origin_fetches)
-    assert [n.final_cache for n in par.nodes] == [
-        n.final_cache for n in ser.nodes
-    ]
-    assert par.latency == ser.latency
-    speedup = best_par / best["lce"]
-    rows["parallel"] = {
-        "strategy": "lce",
-        "workers": "per-node",
-        "net_rps": round(best_par),
-        "speedup_vs_serial": round(speedup, 2),
-        "fingerprints": "identical",
-    }
-    print(
-        f"net   per-node lce rps={best_par / 1e3:7.0f}k "
-        f"speedup={speedup:.2f}x (fingerprints identical)"
-    )
 
     # -- acceptance: 10M-request store, flat RSS, scrape + replay --
     with tempfile.TemporaryDirectory() as tmp:
@@ -1057,9 +1031,8 @@ def network_rows(trace, k: int, reps: int):
     return {
         "benchmark": (
             "cache-network hierarchies: serial throughput per admission "
-            "strategy, per-node parallel vs serial, subprocess peak RSS "
-            "streaming a 10M-request store with per-node scrapes and "
-            "flight replays"
+            "strategy, subprocess peak RSS streaming a 10M-request store "
+            "with per-node scrapes and flight replays"
         ),
         "bars": {"streamed_peak_rss_mb": NET_RSS_BOUND_MB},
         **rows,

@@ -42,7 +42,6 @@ MODULES = [
     "repro.net.strategies",
     "repro.net.metrics",
     "repro.net.netsim",
-    "repro.net.parallel",
     "repro.obs",
     "repro.obs.registry",
     "repro.obs.tracing",

@@ -15,9 +15,8 @@ cost :math:`\\sum_i f_i(\\cdot)`.
 
 A degenerate single-node topology is bit-identical to
 :func:`repro.sim.engine.simulate` (test-enforced for every registered
-policy), and ``NetworkSim.run(trace, workers="per-node")`` maps a path
-topology onto one OS process per level with pipes as links
-(:mod:`repro.net.parallel`).
+policy): every node is a kernel cache state
+(:class:`repro.sim.engine.CacheState`), walked in one process.
 
 Quickstart::
 

@@ -7,9 +7,9 @@ Two subcommands::
         --zipf 0.9 --pages 4096 --length 200000 --policy lru --strategy lcd
 
     # Same topology over an on-disk trace (colstore dir or CSV),
-    # one worker process per level:
+    # streamed batch by batch:
     python -m repro.net run --topology path --depth 3 --k 64 \\
-        --trace traces/day1.cols --workers per-node
+        --trace traces/day1.cols
 
     # Emit a topology JSON for editing / reuse via --topology-file:
     python -m repro.net topology --topology tree --branching 2 --depth 3 \\
@@ -152,7 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profile=args.profile,
         http_port=args.http,
     )
-    result = sim.run(trace, workers=args.workers)
+    result = sim.run(trace)
     result.check_conservation()
     if sim.http_address is not None:
         h, p = sim.http_address
@@ -214,8 +214,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"merged folded stacks -> {args.profile_out}")
     if args.trace_jsonl:
         print(
-            f"spans -> {args.trace_jsonl}*  "
-            f"(merge: python -m repro.obs trace {args.trace_jsonl}*)"
+            f"spans -> {args.trace_jsonl}  "
+            f"(summary: python -m repro.obs summary {args.trace_jsonl})"
         )
     if args.json:
         doc = {
@@ -286,21 +286,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="bounded ingress queue at every cache (reject = bypass)",
     )
     run_p.add_argument("--drain-rate", type=float, default=1.0)
-    run_p.add_argument(
-        "--workers",
-        choices=("per-node",),
-        default=None,
-        help="one process per level (path topologies, local strategies)",
-    )
     run_p.add_argument("--json", default=None, help="dump full result JSON")
     run_p.add_argument(
         "--trace-jsonl", default=None, metavar="PATH",
-        help="JSONL span sink; per-node spills land at PATH.w<node>",
+        help="JSONL span sink (one net.run span per run)",
     )
     run_p.add_argument(
         "--profile", nargs="?", const=True, default=None, type=float,
         metavar="INTERVAL",
-        help="sampling profiler per process (optional interval, seconds)",
+        help="sampling profiler around the run (optional interval, seconds)",
     )
     run_p.add_argument(
         "--profile-out", default=None, metavar="PATH",

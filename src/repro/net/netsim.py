@@ -218,17 +218,13 @@ class NetworkSim:
     obs:
         Telemetry bundle; defaults to the process default.  Counters
         are per-node labelled; one ``net.run`` span wraps each run.
-        When the tracer has a file sink, ``workers="per-node"`` runs
-        also propagate distributed span context over the links and
-        spill per-node spans next to the parent file (see
-        :mod:`repro.obs.distrib`); when ``obs.timeline`` is set, a
-        registry snapshot lands on it after every run.
+        When ``obs.timeline`` is set, a registry snapshot lands on it
+        after every run.
     profile:
         ``True`` (default 5 ms interval) or a float interval in
         seconds: attach a :class:`~repro.obs.prof.SamplingProfiler`
-        to each run — per node-process under ``workers="per-node"``,
-        around the whole walk serially.  Folded stacks land in
-        ``self.profiles`` keyed by node name (plus ``"parent"``).
+        around each run's walk.  Its folded stacks land in
+        ``self.profiles["parent"]``.
     flight_capacity:
         When set, attach one FlightRecorder of this capacity per cache
         node (``self.flights[node_id]``); windows replay-verify via
@@ -280,7 +276,7 @@ class NetworkSim:
         from repro.obs.prof import profile_spec
 
         self._profile = profile_spec(profile)
-        #: Per-process folded stacks from the most recent profiled run.
+        #: Folded stacks of the most recent profiled run, keyed ``"parent"``.
         self.profiles: Dict[str, Dict[str, int]] = {}
         self.flight_capacity = (
             None
@@ -377,34 +373,11 @@ class NetworkSim:
         return np.asarray(leaves, dtype=np.int64)[idx].tolist(), None
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        trace,
-        batch: int = DEFAULT_BATCH,
-        workers: Optional[str] = None,
-    ) -> NetResult:
+    def run(self, trace, batch: int = DEFAULT_BATCH) -> NetResult:
         """Drive *trace* (a Trace or streaming TraceReader) through the
-        network; returns a :class:`~repro.net.metrics.NetResult`.
-
-        ``workers="per-node"`` runs the process-parallel pipeline (one
-        OS process per cache node, pipes as links) — path topologies
-        with ``local`` admission strategies only; see
-        :mod:`repro.net.parallel`.
-        """
+        network; returns a :class:`~repro.net.metrics.NetResult`."""
         if self._http_port is not None and self._http_thread is None:
             self.start_http()
-        if workers is not None:
-            if workers != "per-node":
-                raise ValueError(
-                    f"workers must be None or 'per-node', got {workers!r}"
-                )
-            from repro.net.parallel import run_parallel
-
-            result = run_parallel(self, trace, batch=batch)
-            obs = self.obs if self.obs is not None else default_observability()
-            self._export_metrics(obs, result)
-            self._snap_timeline(obs)
-            return result
         obs = self.obs if self.obs is not None else default_observability()
         self.profiles = {}
         prof = None
@@ -744,7 +717,6 @@ def simulate_network(
     seed: int = 0,
     validate: bool = True,
     batch: int = DEFAULT_BATCH,
-    workers: Optional[str] = None,
     obs: Optional[Observability] = None,
     profile: object = None,
     flight_capacity: Optional[int] = None,
@@ -764,7 +736,7 @@ def simulate_network(
         profile=profile,
         flight_capacity=flight_capacity,
     )
-    return sim.run(trace, batch=batch, workers=workers)
+    return sim.run(trace, batch=batch)
 
 
 # ----------------------------------------------------------------------
@@ -816,15 +788,15 @@ def network_many(
     base_seed: int = 0,
     workers: Optional[int] = None,
 ) -> List[NetGridRun]:
-    """Run every (topology, strategy, trace) combination, optionally in
-    parallel — the network analogue of
+    """Run every (topology, strategy, trace) combination, optionally
+    over a process pool of *workers* — the network analogue of
     :func:`repro.sim.driver.simulate_many`.
 
     Trace entries may be *path strings* (columnar directories stream
     via per-cell :class:`~repro.sim.colstore.TraceReader`\\ s opened
     inside the worker process, CSVs load there too), so parallel grids
     over on-disk traces ship a path per cell instead of pickling
-    requests — the multi-core sweep mode ROADMAP item 5 calls for.
+    requests.
     ``costs`` follows :func:`~repro.sim.driver.simulate_many`: one list
     for all traces, or a callable evaluated per trace in the parent
     (path entries are opened header-only first, so the callable sees

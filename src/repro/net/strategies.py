@@ -20,21 +20,13 @@ mirroring the icarus strategy taxonomy the ROADMAP points at:
   ProbCache rule — admission probability grows with the remaining
   cache capacity along the path and with proximity to the edge.
 
-Admission strategies declare ``local``: ``True`` means the decision at
-a node depends only on that node's own miss (plus its private RNG), so
-the process-parallel pipeline (:mod:`repro.net.parallel`) can run it
-per node without feedback messages.  ``lcd`` is serial-only because
-its decision is anchored at the hit (admit one hop below it);
-``probcache`` because its per-path draws come from one shared RNG
-stream, coupling the decisions along a path.
-
-Determinism: local stochastic strategies (``prob``) draw from per-node
+Determinism: ``prob`` draws from per-node
 :func:`numpy.random.Generator` streams derived with
 :func:`repro.util.rng.derive_seed` from the simulation seed and the
 node id — a node draws exactly once per miss it serves, in global
-clock order, so serial and parallel runs see identical streams
-(test-enforced).  ``probcache`` draws from one stream shared across
-the whole network, one draw per missing cache in walk order.
+clock order, so no node's draws shift another node's stream.
+``probcache`` draws from one stream shared across the whole network,
+one draw per missing cache in walk order.
 """
 
 from __future__ import annotations
@@ -133,10 +125,6 @@ class AdmissionStrategy:
     """
 
     name: str = "admission"
-    #: ``True`` when the decision at node *v* depends only on *v*'s own
-    #: miss and private RNG — the contract the process-parallel
-    #: pipeline needs (see module docstring).
-    local: bool = False
 
     def reset(self, topology: Topology, seed: int = 0) -> None:
         self.topology = topology
@@ -146,17 +134,6 @@ class AdmissionStrategy:
     ) -> List[int]:
         raise NotImplementedError
 
-    def admit_local(
-        self, node_id: int, missed_below: bool, page: int, t: int
-    ) -> bool:
-        """Per-node form of the decision for ``local`` strategies:
-        should *node_id*, which just missed *page*, store a copy?
-        ``missed_below`` says whether some cache between the ingress
-        and this node also missed (the only cross-node fact a local
-        decision may read — the pipeline forwards it as one bit).
-        Must agree with :meth:`admit` (test-enforced)."""
-        raise NotImplementedError(f"{self.name} is not a local strategy")
-
 
 class LeaveCopyEverywhere(AdmissionStrategy):
     """Admit at every cache that missed — the classical default, and
@@ -164,17 +141,11 @@ class LeaveCopyEverywhere(AdmissionStrategy):
     engine-compatible decision stream (every recorded miss inserted)."""
 
     name = "lce"
-    local = True
 
     def admit(
         self, path: Sequence[int], hit_node: int, page: int, t: int
     ) -> List[int]:
         return list(path)
-
-    def admit_local(
-        self, node_id: int, missed_below: bool, page: int, t: int
-    ) -> bool:
-        return True
 
 
 class LeaveCopyDown(AdmissionStrategy):
@@ -183,7 +154,6 @@ class LeaveCopyDown(AdmissionStrategy):
     the icarus ``LCD`` on-path strategy)."""
 
     name = "lcd"
-    local = False
 
     def admit(
         self, path: Sequence[int], hit_node: int, page: int, t: int
@@ -196,27 +166,19 @@ class EdgeOnly(AdmissionStrategy):
     for traffic that aggregates from many edges."""
 
     name = "edge"
-    local = True
 
     def admit(
         self, path: Sequence[int], hit_node: int, page: int, t: int
     ) -> List[int]:
         return [path[0]] if path else []
 
-    def admit_local(
-        self, node_id: int, missed_below: bool, page: int, t: int
-    ) -> bool:
-        return not missed_below
-
 
 class ProbAdmit(AdmissionStrategy):
     """Admit independently with fixed probability *p* at every cache
     that missed, from per-node RNG streams (one draw per miss, global
-    clock order — the parallel pipeline reproduces the streams
-    exactly)."""
+    clock order)."""
 
     name = "prob"
-    local = True
 
     def __init__(self, p: float = 0.5) -> None:
         if not 0.0 <= p <= 1.0:
@@ -235,11 +197,6 @@ class ProbAdmit(AdmissionStrategy):
     ) -> List[int]:
         p = self.p
         return [v for v in path if self._rngs[v].random() < p]
-
-    def admit_local(
-        self, node_id: int, missed_below: bool, page: int, t: int
-    ) -> bool:
-        return self._rngs[node_id].random() < self.p
 
 
 class ProbCache(AdmissionStrategy):
@@ -263,13 +220,11 @@ class ProbCache(AdmissionStrategy):
     full fetch path including the cache that served the hit
     (``hit_node`` is accepted for interface compatibility but unused).
     One RNG draw per missing cache, edge-most first, from a single
-    stream shared across the network — that stream couples the
-    decisions along a path, which is what makes the strategy
-    serial-only (``local = False``).
+    stream shared across the network, so the decisions along a path
+    are coupled.
     """
 
     name = "probcache"
-    local = False
 
     def __init__(self, times_in: float = 10.0) -> None:
         if times_in <= 0:

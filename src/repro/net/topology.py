@@ -123,8 +123,7 @@ class Topology:
     * ``prefix_read_delay(v)`` — cumulative one-way read delay along
       that route (index *i* = delay from *v* to ``route(v)[i]``);
     * all-pairs tree hop distances (``hops``) and read-delay distances
-      (``path_delay``) backing nearest-copy routing and the parallel
-      driver's sanity checks.
+      (``path_delay``) backing nearest-copy routing.
 
     ``ingress`` lists the nodes where client requests may enter: the
     leaves of the tree (cache nodes with no children).
@@ -274,12 +273,6 @@ class Topology:
         """Cumulative one-way link ``read_delay`` along the tree path
         between two nodes — the metric nearest-copy routing minimizes."""
         return self._path_delay[a][b]
-
-    def is_path(self) -> bool:
-        """True for a linear chain (one ingress, every node <=1 child)."""
-        return len(self.ingress) == 1 and all(
-            len(kids) <= 1 for kids in self._children.values()
-        )
 
     # ------------------------------------------------------------------
     # Serialisation

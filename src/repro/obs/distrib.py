@@ -1,28 +1,25 @@
 """Distributed tracing: span context propagation and trace merging.
 
-The serve and network layers are multi-process (``ShardWorkerPool``
-routes batches to shard workers as framed pipe exchanges;
-``repro.net.parallel`` chains one process per cache level).  The
-in-process tracer (:mod:`repro.obs.tracing`) links spans through a
-contextvar, which stops at the process boundary: a request crossing the
-router, a worker, and the reply path leaves disconnected fragments.
+The serve layer is multi-process (``ShardWorkerPool`` routes batches
+to shard workers as framed pipe exchanges).  The in-process tracer
+(:mod:`repro.obs.tracing`) links spans through a contextvar, which
+stops at the process boundary: a request crossing the router, a
+worker, and the reply path leaves disconnected fragments.
 
 This module closes the gap with three small pieces:
 
 * **Span context** — a compact ``(trace_id, parent span_id, sampled)``
   triple that rides the existing transports verbatim: two extra little-
   endian int64 fields in the worker data-frame header
-  (``serve/workers.py``), and one extra tuple element on the pickled
-  inter-node link messages (``net/parallel.py``).  ``trace_id == 0``
-  means *not sampled* — the zero context costs the 16 header bytes and
-  nothing else, so the wire format is identical whether tracing is on
-  or off.
+  (``serve/workers.py``).  ``trace_id == 0`` means *not sampled* —
+  the zero context costs the 16 header bytes and nothing else, so the
+  wire format is identical whether tracing is on or off.
 * **Namespaced span ids** — each process draws span ids from its own
   ``PROC_SHIFT``-bit namespace (:func:`span_ids`), so ids from the
-  router (namespace 0), shard workers, and network nodes never collide
-  and the merged tree needs no id rewriting.
-* **Worker-local spill + parent-side merge** — each shard worker and
-  network node appends its spans to its own JSONL file (:func:`spill_path`
+  router (namespace 0) and the shard workers never collide and the
+  merged tree needs no id rewriting.
+* **Worker-local spill + parent-side merge** — each shard worker
+  appends its spans to its own JSONL file (:func:`spill_path`
   names them ``<base>.w<i>`` next to the parent's ``--trace-jsonl``
   file) — shard worker 0 too, though it runs in the server process, so
   the files and id namespaces are the same at any worker count; after
@@ -38,7 +35,7 @@ field     meaning
 ========  =======================================================
 trace_id  int64 > 0; ``0`` disables tracing for the batch.  The
           serve router derives it deterministically from the batch
-          clock (``t0 + 1``); network traces use the batch base.
+          clock (``t0 + 1``).
 parent    int64 span id of the emitting parent span (namespaced).
 ========  =======================================================
 
@@ -57,7 +54,7 @@ from repro.obs.tracing import Tracer
 #: Bits reserved for the per-process span counter.  Namespace ``p``
 #: owns ids ``[p << PROC_SHIFT, (p+1) << PROC_SHIFT)``; 48 bits of
 #: counter is inexhaustible for any run, and 15 bits of namespace
-#: covers every worker/node fleet we spawn.
+#: covers every worker fleet we spawn.
 PROC_SHIFT = 48
 
 #: The zero (disabled) context: rides the wire when tracing is off.

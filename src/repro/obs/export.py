@@ -81,15 +81,11 @@ def unescape_label_value(value: str) -> str:
     return "".join(out)
 
 
-# Backwards-compatible private alias (pre-PR-4 name).
-_escape_label = escape_label_value
-
-
 def _render_labels(labels: Dict[str, str]) -> str:
     if not labels:
         return ""
     inner = ",".join(
-        f'{k}="{_escape_label(str(v))}"' for k, v in sorted(labels.items())
+        f'{k}="{escape_label_value(str(v))}"' for k, v in sorted(labels.items())
     )
     return "{" + inner + "}"
 

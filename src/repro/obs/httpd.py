@@ -116,23 +116,13 @@ class ObsHttpServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, target = request
-            self.requests += 1
-            if method != "GET":
+            try:
+                status, ctype, body = await self._respond(reader)
+            except Exception as exc:  # noqa: BLE001 - admin plane must not
+                # crash its owner on a provider error.
                 status, ctype, body = self._json_response(
-                    405, {"error": f"method {method} not allowed; GET only"}
+                    500, {"error": f"{type(exc).__name__}: {exc}"}
                 )
-            else:
-                status, ctype, body = self._route(target)
-        except Exception as exc:  # noqa: BLE001 - admin plane must not
-            # crash its owner on a malformed request or provider error.
-            status, ctype, body = self._json_response(
-                500, {"error": f"{type(exc).__name__}: {exc}"}
-            )
-        try:
             writer.write(_render_response(status, ctype, body))
             await writer.drain()
         except (ConnectionError, OSError):
@@ -144,11 +134,29 @@ class ObsHttpServer:
             except (ConnectionError, OSError):
                 pass
 
+    async def _respond(
+        self, reader: asyncio.StreamReader
+    ) -> Tuple[int, str, bytes]:
+        request = await self._read_request(reader)
+        if request is None:
+            return self._json_response(
+                400, {"error": "malformed request; expected 'GET <path>'"}
+            )
+        method, target = request
+        self.requests += 1
+        if method != "GET":
+            return self._json_response(
+                405, {"error": f"method {method} not allowed; GET only"}
+            )
+        return self._route(target)
+
     @staticmethod
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str]]:
-        """Parse ``METHOD target`` and drain headers to the blank line."""
+        """Parse ``METHOD target`` and drain headers to the blank line;
+        ``None`` when the request line has no method and target, runs
+        past the reader's limit, or the stream ends first."""
         try:
             line = await reader.readuntil(b"\r\n")
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):

@@ -100,10 +100,6 @@ def resolve_trace(trace):
     return trace
 
 
-#: Backwards-compatible private alias (pre-PR7 name).
-_resolve_trace = resolve_trace
-
-
 def costs_per_trace(costs: CostsSpec, traces: Sequence) -> List[Optional[Sequence[object]]]:
     """Evaluate a ``costs`` spec against every trace in a grid.
 

@@ -1,6 +1,4 @@
-"""Routing/admission strategy contracts: behaviour, determinism, and
-the serial-vs-local decision agreement the parallel pipeline relies on.
-"""
+"""Routing/admission strategy contracts: behaviour and determinism."""
 
 from __future__ import annotations
 
@@ -171,10 +169,6 @@ class TestAdmission:
         with pytest.raises(KeyError, match="unknown strategy"):
             make_strategy("nope")
 
-    def test_locality_flags(self):
-        local = {n for n, f in STRATEGY_REGISTRY.items() if f().local}
-        assert local == {"lce", "edge", "prob"}
-
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["prob", "probcache"])
@@ -196,34 +190,3 @@ class TestDeterminism:
         decisions_b = [tuple(b.admit([0, 1, 2], 3, t, t)) for t in range(200)]
         assert decisions_a != decisions_b
 
-
-class TestAdmitLocal:
-    """admit() and admit_local() must be the same decision function —
-    the parallel pipeline's correctness contract."""
-
-    @pytest.mark.parametrize("name", ["lce", "edge", "prob"])
-    def test_agreement_on_random_paths(self, path3, name):
-        serial = make_strategy(name)
-        local = make_strategy(name)
-        serial.reset(path3, seed=7)
-        local.reset(path3, seed=7)
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for t in range(1000):
-            start = int(rng.integers(0, 3))
-            path = list(range(start, 3))
-            page = int(rng.integers(0, 64))
-            want = set(serial.admit(path, 3, page, t))
-            got = {
-                v
-                for i, v in enumerate(path)
-                if local.admit_local(v, i > 0, page, t)
-            }
-            assert got == want
-
-    def test_non_local_raises(self, path3):
-        s = make_strategy("lcd")
-        s.reset(path3)
-        with pytest.raises(NotImplementedError, match="not a local"):
-            s.admit_local(0, False, 1, 0)

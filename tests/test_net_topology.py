@@ -73,7 +73,6 @@ class TestShape:
         assert topo.ingress == (0,)
         assert topo.route(0) == (0, 1, 2, 3)
         assert topo.prefix_read_delay(0) == (0.0, 1.0, 2.0, 12.0)
-        assert topo.is_path()
         assert topo.total_cache_capacity == 24
 
     def test_path_per_level_capacities(self):
@@ -85,7 +84,6 @@ class TestShape:
         # 4 leaves + 2 mid + 1 root + origin
         assert topo.num_nodes == 8
         assert len(topo.ingress) == 4
-        assert not topo.is_path()
         # Every leaf is 3 hops from the root cache's parent (origin).
         root = topo.route(topo.ingress[0])[-2]
         assert all(topo.route(leaf)[-2] == root for leaf in topo.ingress)
@@ -98,7 +96,6 @@ class TestShape:
     def test_single_node(self):
         topo = single_node_topology(32)
         assert len(topo.cache_nodes) == 1
-        assert topo.is_path()
 
     def test_hops_symmetric(self):
         topo = tree_topology(2, 2, 4)

@@ -1,11 +1,10 @@
-"""Distributed tracing: span-context propagation over the worker and
-network transports, worker-local spills, and the parent-side merge.
+"""Distributed tracing: span-context propagation over the worker
+transport, worker-local spills, and the parent-side merge.
 
-The acceptance contract of the observability PR: a request served by a
-W=2 ShardWorkerPool and a request walking a 3-node network chain each
-reassemble into a *single* parent-linked trace tree from the spilled
-JSONL files, and turning tracing on never changes results (per-tenant
-counters stay bit-identical to the untraced run / to ``simulate()``).
+The contract: a request served by a W=2 ShardWorkerPool reassembles
+into a *single* parent-linked trace tree from the spilled JSONL files,
+and turning tracing on never changes results (per-tenant counters stay
+bit-identical to the untraced run / to ``simulate()``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.cost_functions import MonomialCost
-from repro.net import NetworkSim, path_topology
 from repro.obs import JsonlSink, ListSink, Observability, Timeline, Tracer
 from repro.obs.distrib import (
     NULL_CONTEXT,
@@ -429,53 +427,3 @@ class TestServerTracing:
             trace_id = reply["t0"] + 1
             assert linked.get(trace_id) == routes[trace_id], reply["t0"]
 
-
-class TestNetworkTracing:
-    def test_three_node_chain_single_tree_per_batch(self, tmp_path):
-        """3-node path, workers='per-node': every batch reassembles as
-        edge -> l1 -> l2 -> net.origin, one complete tree per trace id,
-        and results stay identical to the untraced serial run."""
-        trace = zipf_trace(128, 4000, skew=0.8, seed=5)
-        base = str(tmp_path / "net.jsonl")
-        obs = Observability.enabled(sink=JsonlSink(base))
-        sim = NetworkSim(
-            path_topology(3, 16), policy="lru", strategy="lce",
-            seed=3, policy_seed=3, obs=obs,
-        )
-        res = sim.run(trace, batch=512, workers="per-node")
-        obs.tracer.close()
-
-        serial = NetworkSim(
-            path_topology(3, 16), policy="lru", strategy="lce",
-            seed=3, policy_seed=3,
-        ).run(trace, batch=512)
-        assert list(res.origin_fetches) == list(serial.origin_fetches)
-        assert [(n.hits, n.misses) for n in res.nodes] == [
-            (n.hits, n.misses) for n in serial.nodes
-        ]
-
-        files = sorted(glob.glob(base + "*"))
-        assert len(files) == 4  # parent + three node spills
-        trees = merge_traces(files)
-        report = trace_report(trees)
-        assert report["traces"] == -(-trace.length // 512)
-        assert report["complete"] == report["traces"]
-        assert report["orphan_spans"] == 0
-        for tree in trees:
-            (root,) = tree.roots
-            chain = []
-            node = root
-            while True:
-                chain.append(node)
-                if not node.children:
-                    break
-                (node,) = node.children
-            names = [n.name for n in chain]
-            assert names[:-1] == ["net.node"] * (len(names) - 1)
-            assert names[-1] in ("net.node", "net.origin")
-            node_labels = [
-                n.event["attrs"]["node"]
-                for n in chain
-                if n.name == "net.node"
-            ]
-            assert node_labels == ["edge", "l1", "l2"][: len(node_labels)]

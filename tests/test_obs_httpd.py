@@ -242,6 +242,51 @@ class TestUnwiredAndErrors:
         thread.stop()  # no-op
 
 
+def _raw(addr, payload, half_close=False, timeout=5.0):
+    """Send *payload* on a plain socket and read until the server
+    closes; a server that neither answers nor closes times out."""
+    with socket.create_connection(addr, timeout=timeout) as sock:
+        sock.sendall(payload)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedRequests:
+    """A request the plane cannot parse is answered with 400 and the
+    connection closed, on every path."""
+
+    @pytest.mark.parametrize(
+        "payload, half_close",
+        [
+            (b"BOGUS\r\n\r\n", False),
+            (b"\r\n", False),
+            (b"GET /stats HTTP/1.1\r\n", True),
+        ],
+        ids=["no-target", "empty-line", "eof-before-blank-line"],
+    )
+    def test_answered_400_and_closed(self, payload, half_close):
+        server = ObsHttpServer(stats=lambda: {"ok": True})
+        thread = ObsHttpThread(server)
+        addr = thread.start()
+        try:
+            raw = _raw(addr, payload, half_close)
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+            assert b"Connection: close" in head
+            assert "malformed" in json.loads(body)["error"]
+            assert server.requests == 0
+            # The plane keeps serving well-formed requests.
+            assert _get(addr, "/stats")[0] == 200
+        finally:
+            thread.stop()
+
+
 async def _serve_all(server, pages, batch=512):
     host, port = await server.start_tcp()
     reader, writer = await asyncio.open_connection(host, port)
