@@ -14,8 +14,8 @@ shared layer:
 * :mod:`repro.obs.monitor` — :class:`InvariantMonitor`, live drift
   detection on ALG-DISCRETE's budget/KKT structure and per-tenant
   :math:`f_i(m_i)` / marginal-quote trajectories;
-* :mod:`repro.obs.export` — Prometheus text exposition (the serve
-  ``metrics`` op) and JSONL trace aggregation;
+* :mod:`repro.obs.export` — Prometheus text exposition (served at
+  ``/metrics``) and JSONL trace aggregation;
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, a bounded
   ring buffer of per-request decision events (hit/miss, victim,
   budget before/after, fresh-budget charge) with JSONL auto-dump and
@@ -29,11 +29,12 @@ shared layer:
   pending→firing→resolved state machine and pluggable sinks;
 * :mod:`repro.obs.httpd` — :class:`ObsHttpServer`, the stdlib-asyncio
   HTTP admin plane (``/metrics``, ``/health``, ``/ready``,
-  ``/alerts``, ``/timeline``) attachable to serve and net owners.
+  ``/alerts``, ``/audit``, ``/timeline``, ``/stats``) attachable to
+  serve and net owners: every read of a running owner's state.
 
-``python -m repro.obs`` tails/aggregates JSONL traces, scrapes a
-running server's metrics, and renders a live terminal dashboard
-(``dash``).
+``python -m repro.obs`` tails/aggregates JSONL traces, scrapes an
+admin plane's metrics, and renders a live terminal dashboard
+(``dash``) from it.
 
 The :class:`Observability` bundle is the handle instrumented code
 accepts: a registry, a tracer, and optional monitor / flight recorder

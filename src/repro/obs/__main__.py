@@ -15,30 +15,33 @@ Six subcommands::
     # Merge folded-stack profiles and print the hottest stacks:
     python -m repro.obs prof server.folded server.folded.w0
 
-    # Scrape a running cache server's Prometheus metrics over TCP:
-    python -m repro.obs scrape --host 127.0.0.1 --port 9731
+    # Scrape Prometheus metrics from an HTTP admin plane (the port
+    # of `python -m repro.serve serve --http PORT`):
+    python -m repro.obs scrape --host 127.0.0.1 --port 9732
 
-    # Live terminal dashboard (stats + metrics + Theorem-1.1 audit):
-    python -m repro.obs dash --port 9731 --interval 1.0
+    # Live terminal dashboard (stats + metrics + Theorem-1.1 audit),
+    # read from the same plane:
+    python -m repro.obs dash --port 9732 --interval 1.0
 
 ``summary`` renders count / total / mean / p50 / p95 / p99 / max per
 span name; ``trace`` rebuilds cross-process request trees from the
 ``trace`` ids the worker transports propagate (see
 :mod:`repro.obs.distrib`); ``prof`` merges per-process folded stacks
-(:mod:`repro.obs.prof`) into the fleet view; ``scrape`` sends
-``{"op": "metrics"}`` to the serve front end and prints the exposition
+(:mod:`repro.obs.prof`) into the fleet view; ``scrape`` GETs
+``/metrics`` from an HTTP admin plane (:mod:`repro.obs.httpd`, a
+``CacheServer``'s or a ``NetworkSim``'s) and prints the exposition
 text (``--parse`` validates it and prints sorted samples instead);
-``dash`` re-renders per-tenant cost/miss curves, the audited
-competitive ratio against the live Theorem 1.1 bound, queue depth,
-latency/trend sparklines, and active alerts (``--http PORT`` reads
-them from the admin plane's ``/alerts``) every interval.
+``dash`` reads ``/stats``, ``/metrics``, ``/audit`` and ``/alerts``
+from the same plane and re-renders per-tenant cost/miss curves, the
+audited competitive ratio against the live Theorem 1.1 bound, queue
+depth, latency/trend sparklines, per-node rows and active alerts every
+interval.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 from typing import List, Optional
 
@@ -130,22 +133,15 @@ def _cmd_prof(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _scrape(host: str, port: int) -> str:
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps({"op": "metrics"}).encode() + b"\n")
-        await writer.drain()
-        resp = json.loads(await reader.readline())
-    finally:
-        writer.close()
-        await writer.wait_closed()
-    if not resp.get("ok"):
-        raise RuntimeError(f"server error: {resp.get('error')}")
-    return resp["metrics"]
-
-
 def _cmd_scrape(args: argparse.Namespace) -> int:
-    text = asyncio.run(_scrape(args.host, args.port))
+    from repro.obs.httpd import http_get
+
+    status, _headers, body = asyncio.run(
+        http_get(args.host, args.port, "/metrics")
+    )
+    if status != 200:
+        raise RuntimeError(f"GET /metrics answered {status}: {body.decode()}")
+    text = body.decode("utf-8")
     if args.parse:
         samples = parse_prometheus(text)
         for (name, labels), value in sorted(samples.items()):
@@ -165,7 +161,6 @@ def _cmd_dash(args: argparse.Namespace) -> int:
         interval=args.interval,
         iterations=args.iterations,
         clear=not args.no_clear,
-        http_port=args.http,
     )
 
 
@@ -202,9 +197,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--out", default=None, help="write the merged folded stacks here"
     )
 
-    scrape_p = sub.add_parser("scrape", help="fetch metrics from a server")
+    scrape_p = sub.add_parser(
+        "scrape", help="fetch /metrics from an HTTP admin plane"
+    )
     scrape_p.add_argument("--host", default="127.0.0.1")
-    scrape_p.add_argument("--port", type=int, required=True)
+    scrape_p.add_argument(
+        "--port", type=int, required=True, help="the HTTP admin plane's port"
+    )
     scrape_p.add_argument(
         "--parse", action="store_true",
         help="validate the exposition format and print parsed samples",
@@ -212,7 +211,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     dash_p = sub.add_parser("dash", help="live terminal dashboard")
     dash_p.add_argument("--host", default="127.0.0.1")
-    dash_p.add_argument("--port", type=int, required=True)
+    dash_p.add_argument(
+        "--port", type=int, required=True, help="the HTTP admin plane's port"
+    )
     dash_p.add_argument(
         "--interval", type=float, default=1.0, help="seconds between scrapes"
     )
@@ -223,11 +224,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     dash_p.add_argument(
         "--no-clear", action="store_true",
         help="append frames instead of clearing the screen (for logs/CI)",
-    )
-    dash_p.add_argument(
-        "--http", type=int, default=None, metavar="PORT",
-        help="scrape the ALERTS panel from the HTTP admin plane's "
-        "/alerts on this port instead of the TCP alerts op",
     )
 
     args = parser.parse_args(argv)

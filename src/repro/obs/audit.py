@@ -31,9 +31,9 @@ hit)`` call per request:
   block, but each block is priced as an independent cold instance
   (needs scipy).
 
-The server exposes the snapshot as the TCP ``{"op": "audit"}`` and the
-gauges ``audit_ratio`` / ``audit_theorem11_bound`` on the metrics
-scrape; :func:`repro.obs.monitor.watch_simulation` accepts an auditor
+The server's HTTP admin plane serves the snapshot at ``/audit`` and
+the gauges ``audit_ratio`` / ``audit_theorem11_bound`` at
+``/metrics``; :func:`repro.obs.monitor.watch_simulation` accepts an auditor
 for offline runs.  Cost comparisons are *prefix-aligned*: the gauges
 compare the online and baseline cost over the same audited prefix
 (``processed`` requests), never charging the online side for requests
@@ -271,7 +271,7 @@ class CompetitiveAuditor:
         return on <= bound + self.tol * max(1.0, abs(bound))
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-able audit state (the TCP ``audit`` op document)."""
+        """JSON-able audit state (the ``/audit`` document)."""
         on = self.online_cost()
         bound = self.theorem11_bound()
         return {

@@ -1,8 +1,8 @@
-"""Live terminal dashboard for a running cache server.
+"""Live terminal dashboard for a running cache server or network.
 
-``python -m repro.obs dash --port P`` scrapes a serve front end over
-its line-delimited-JSON TCP protocol (``stats`` + ``metrics`` + the
-optional ``audit`` op) every ``--interval`` seconds and renders:
+``python -m repro.obs dash --port P`` reads the HTTP admin plane at
+*P* (:mod:`repro.obs.httpd`: ``/stats``, ``/metrics``, ``/audit``,
+``/alerts``) every ``--interval`` seconds and renders:
 
 * totals and windowed rates (requests/hits/misses/cost per second);
 * a per-tenant table (hits, misses, running cost, marginal quote) with
@@ -12,20 +12,24 @@ optional ``audit`` op) every ``--interval`` seconds and renders:
   :class:`~repro.obs.audit.CompetitiveAuditor`), as a bounded bar plus
   the ratio's history sparkline;
 * queue depth and apply-latency histogram sparklines;
-* an ALERTS panel (active alerts with state, severity, age, value)
-  from the TCP ``alerts`` op — or, with ``--http``, the admin plane's
-  ``/alerts`` endpoint — omitted when the server has no alert engine;
+* an ALERTS panel (active alerts with state, severity, age, value),
+  omitted when the plane has no alert engine;
 * timeline trends (request rate, windowed apply p95) and a per-node
   panel when the scraped registry carries ``net_node_*`` series — the
   scrape loop feeds every parsed frame into a
   :class:`~repro.obs.timeline.Timeline`, so the remote dashboard sees
   the exact series an in-process timeline would.
 
+Each read is best effort: a route the plane does not serve leaves its
+panel out, so a :class:`~repro.net.netsim.NetworkSim` plane (metrics,
+alerts, no stats) renders its per-node panel.
+
 Rendering is split from transport so it is testable offline:
 :func:`render_dashboard` is a pure function from a list of
 :class:`DashFrame` snapshots (plus an optional fed timeline) to a
-string (``tests/test_obs_dash.py`` feeds it canned frames);
-:func:`run_dash` owns the TCP loop and the ANSI screen clearing.
+string (``tests/test_obs_dash.py`` feeds it canned frames and reads
+live planes); :func:`run_dash` owns the scrape loop and the ANSI
+screen clearing.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.httpd import http_get
 from repro.obs.timeline import Timeline
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -73,7 +78,7 @@ def ratio_bar(ratio: float, bound_ratio: float, width: int = 40) -> str:
 
 @dataclass(frozen=True)
 class DashFrame:
-    """One scrape: the op documents (audit/alerts may be absent)."""
+    """One scrape: the plane's documents (audit/alerts may be absent)."""
 
     stats: Dict[str, object]
     metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float]
@@ -82,79 +87,31 @@ class DashFrame:
     alerts: Optional[Dict[str, object]] = None
 
 
-async def _http_get_json(
-    host: str, port: int, path: str
-) -> Optional[Dict[str, object]]:
-    """Best-effort GET of a JSON document from the admin plane."""
-    try:
-        reader, writer = await asyncio.open_connection(host, port)
-    except OSError:
-        return None
-    try:
-        writer.write(
-            f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
-        )
-        await writer.drain()
-        raw = await reader.read()
-    except (OSError, asyncio.IncompleteReadError):
-        return None
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except OSError:
-            pass
-    head, _, body = raw.partition(b"\r\n\r\n")
-    try:
-        if int(head.split(None, 2)[1]) != 200:
-            return None
-        return json.loads(body)
-    except (IndexError, ValueError):
-        return None
+async def fetch_frame(host: str, port: int) -> DashFrame:
+    """Read one :class:`DashFrame` from the HTTP admin plane at
+    *host*:*port*.
 
-
-async def fetch_frame(
-    host: str, port: int, http_port: Optional[int] = None
-) -> DashFrame:
-    """Scrape one :class:`DashFrame` over the serve TCP protocol.
-
-    The ``audit`` and ``alerts`` ops are best-effort: a server without
-    an auditor or alert engine yields ``None`` for those panels.  With
-    *http_port*, alerts come from the admin plane's ``/alerts``
-    endpoint instead (also best-effort).
+    Every read is best effort: a route that does not answer 200 leaves
+    its panel out — ``audit`` and ``alerts`` are ``None`` without an
+    auditor or alert engine, and a plane without ``/stats`` (a
+    :class:`~repro.net.netsim.NetworkSim`) reads as empty stats.
     """
     from repro.obs.export import parse_prometheus
 
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        async def ask(op: str) -> Dict[str, object]:
-            writer.write(json.dumps({"op": op}).encode() + b"\n")
-            await writer.drain()
-            return json.loads(await reader.readline())
+    async def read(path: str) -> Optional[bytes]:
+        status, _headers, body = await http_get(host, port, path)
+        return body if status == 200 else None
 
-        stats_resp = await ask("stats")
-        if not stats_resp.get("ok"):
-            raise RuntimeError(f"stats failed: {stats_resp.get('error')}")
-        metrics_resp = await ask("metrics")
-        if not metrics_resp.get("ok"):
-            raise RuntimeError(f"metrics failed: {metrics_resp.get('error')}")
-        audit_resp = await ask("audit")
-        alerts_doc: Optional[Dict[str, object]] = None
-        if http_port is None:
-            alerts_resp = await ask("alerts")
-            if alerts_resp.get("ok"):
-                alerts_doc = alerts_resp.get("alerts")  # type: ignore[assignment]
-    finally:
-        writer.close()
-        await writer.wait_closed()
-    if http_port is not None:
-        alerts_doc = await _http_get_json(host, http_port, "/alerts")
+    stats = await read("/stats")
+    metrics = await read("/metrics")
+    audit = await read("/audit")
+    alerts = await read("/alerts")
     return DashFrame(
-        stats=stats_resp["stats"],
-        metrics=parse_prometheus(metrics_resp["metrics"]),
-        audit=audit_resp.get("audit") if audit_resp.get("ok") else None,
+        stats=json.loads(stats) if stats is not None else {},
+        metrics=parse_prometheus(metrics.decode()) if metrics is not None else {},
+        audit=json.loads(audit) if audit is not None else None,
         ts=time.time(),
-        alerts=alerts_doc,
+        alerts=json.loads(alerts) if alerts is not None else None,
     )
 
 
@@ -348,9 +305,9 @@ def render_dashboard(
         ]
         lines.append(f"  ratio history  {sparkline(ratio_hist)}")
 
-    # ALERTS panel — omitted entirely when the server has no alert
-    # engine (alerts is None: op/endpoint absent), so old servers and
-    # plain deployments render exactly as before.
+    # ALERTS panel — omitted entirely when the plane has no alert
+    # engine (alerts is None: /alerts absent), so plain deployments
+    # render exactly as before.
     if cur.alerts is not None:
         lines.append(rule)
         alerts = cur.alerts
@@ -394,13 +351,12 @@ async def _dash_loop(
     iterations: Optional[int],
     clear: bool,
     history: int = 120,
-    http_port: Optional[int] = None,
 ) -> int:
     frames: List[DashFrame] = []
     timeline = Timeline(capacity=max(2, history))
     n = 0
     while iterations is None or n < iterations:
-        frame = await fetch_frame(host, port, http_port=http_port)
+        frame = await fetch_frame(host, port)
         frames.append(frame)
         del frames[:-history]
         timeline.ingest(frame.ts, frame.metrics)
@@ -422,18 +378,11 @@ def run_dash(
     interval: float = 1.0,
     iterations: Optional[int] = None,
     clear: bool = True,
-    http_port: Optional[int] = None,
 ) -> int:
-    """Run the dashboard loop (Ctrl-C to stop when unbounded).
-
-    With *http_port*, the ALERTS panel scrapes the admin plane's
-    ``/alerts`` instead of the TCP ``alerts`` op."""
+    """Run the dashboard loop against the HTTP admin plane at
+    *host*:*port* (Ctrl-C to stop when unbounded)."""
     try:
-        return asyncio.run(
-            _dash_loop(
-                host, port, interval, iterations, clear, http_port=http_port
-            )
-        )
+        return asyncio.run(_dash_loop(host, port, interval, iterations, clear))
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         return 0
 

@@ -7,7 +7,7 @@
   value`` samples, histogram ``_bucket``/``_sum``/``_count`` series).
 * :func:`parse_prometheus` — a strict parser for the same format,
   returning ``{(name, (("label","value"),...)): value}``.  Used by the
-  serve smoke tests ("the ``metrics`` op output must parse") and by the
+  serve tests ("``/metrics`` output must parse") and by the
   CLI's ``scrape`` subcommand; it rejects malformed lines rather than
   skipping them, so a parse success is a real format guarantee.
 * :func:`read_jsonl` / :func:`summarize_spans` — load a JSONL trace

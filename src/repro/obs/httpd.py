@@ -1,22 +1,26 @@
-"""HTTP admin plane: standard exposition for the obs stack.
+"""HTTP admin plane: every read of a running owner's state.
 
-Until now metrics were only reachable over the bespoke line-JSON TCP
-op (``{"op": "metrics"}``).  :class:`ObsHttpServer` is a minimal
-stdlib-:mod:`asyncio` HTTP/1.1 server (GET only, ``Connection:
-close``) that exposes the same data the standard way, so Prometheus,
-``curl``, load balancers, and a future elastic controller can all
-consume it without speaking the custom protocol:
+The serve TCP front end carries only the data path (``batch``,
+``request``, ``ping``); what the server knows about that stream — its
+counters, per-tenant prices, Theorem 1.1 audit and alerts — is read
+here.  :class:`ObsHttpServer` is a minimal stdlib-:mod:`asyncio`
+HTTP/1.1 server (GET only, ``Connection: close``), so Prometheus,
+``curl``, load balancers, ``python -m repro.obs scrape`` and ``dash``
+all read it the standard way:
 
 * ``/metrics`` — Prometheus text format 0.0.4 via the existing
   renderer (the provider callable; on :class:`CacheServer
   <repro.serve.server.CacheServer>` this is the worker-merged scrape,
-  counter-identical to the TCP op — test-enforced);
+  whose per-tenant counters equal ``simulate()`` — test-enforced);
 * ``/health`` — liveness: 200 whenever the server is accepting;
 * ``/ready`` — readiness: 200 while serving, 503 once draining or
   closed (drain-aware — wired to flip *before* the TCP listener goes
   away so rotations are hitless);
 * ``/alerts`` — the :class:`~repro.obs.alerts.AlertEngine` snapshot
   (active + resolved alerts, rules, enabled flag) as JSON;
+* ``/audit`` — the :class:`~repro.obs.audit.CompetitiveAuditor`
+  snapshot (the live Theorem 1.1 audit, with its ``mode`` and
+  ``window``) as JSON;
 * ``/timeline`` — windowed series out of the metrics
   :class:`~repro.obs.timeline.Timeline` ring (``?name=&rate=1``);
 * ``/stats`` — the owner's stats dict as JSON;
@@ -27,6 +31,7 @@ Every provider is optional: endpoints whose provider is absent return
 ``serve_trace`` and :class:`NetworkSim` with whatever subset each
 owner has.  :class:`ObsHttpThread` runs the same server on a private
 event loop in a daemon thread for synchronous owners (``NetworkSim``).
+:func:`http_get` is the one GET client the readers share.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ class ObsHttpServer:
       exposition (e.g. ``CacheServer.prometheus_metrics``);
     * ``alerts``: an :class:`~repro.obs.alerts.AlertEngine` (anything
       with ``snapshot()``);
+    * ``audit``: zero-arg callable returning the auditor's JSON-able
+      snapshot (e.g. ``CacheServer.audit``);
     * ``timeline``: a :class:`~repro.obs.timeline.Timeline`;
     * ``stats``: zero-arg callable returning a JSON-able dict;
     * ``ready``: zero-arg callable returning truthy while the owner
@@ -75,6 +82,7 @@ class ObsHttpServer:
         *,
         metrics: Optional[Callable[[], str]] = None,
         alerts: Optional[object] = None,
+        audit: Optional[Callable[[], Dict[str, object]]] = None,
         timeline: Optional[object] = None,
         stats: Optional[Callable[[], Dict[str, object]]] = None,
         ready: Optional[Callable[[], bool]] = None,
@@ -82,6 +90,7 @@ class ObsHttpServer:
     ) -> None:
         self.metrics = metrics
         self.alerts = alerts
+        self.audit = audit
         self.timeline = timeline
         self.stats = stats
         self.ready = ready
@@ -190,6 +199,8 @@ class ObsHttpServer:
             return self._handle_ready()
         if path == "/alerts":
             return self._handle_alerts()
+        if path == "/audit":
+            return self._handle_audit()
         if path == "/timeline":
             return self._handle_timeline(query)
         if path == "/stats":
@@ -202,6 +213,8 @@ class ObsHttpServer:
             routes.append("/metrics")
         if self.alerts is not None:
             routes.append("/alerts")
+        if self.audit is not None:
+            routes.append("/audit")
         if self.timeline is not None:
             routes.append("/timeline")
         if self.stats is not None:
@@ -227,6 +240,11 @@ class ObsHttpServer:
         if self.alerts is None:
             return self._json_response(404, {"error": "alerts not wired"})
         return self._json_response(200, self.alerts.snapshot())  # type: ignore[attr-defined]
+
+    def _handle_audit(self) -> Tuple[int, str, bytes]:
+        if self.audit is None:
+            return self._json_response(404, {"error": "audit not wired"})
+        return self._json_response(200, self.audit())
 
     def _handle_timeline(
         self, query: Dict[str, List[str]]
@@ -283,6 +301,39 @@ def _render_response(status: int, content_type: str, body: bytes) -> bytes:
         f"\r\n"
     )
     return head.encode("latin-1") + body
+
+
+async def http_get(
+    host: str, port: int, path: str
+) -> Tuple[int, Dict[str, str], bytes]:
+    """One ``GET path`` against an HTTP plane: ``(status, headers,
+    body)`` with lower-cased header names.  It runs on the caller's
+    event loop, so it can read a plane that loop serves; a refused
+    connection raises :class:`OSError`, a reply without a status line
+    :class:`ValueError`."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(
+            f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
+        )
+        await writer.drain()
+        raw = await reader.read()
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except OSError:
+            pass
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    status = lines[0].split()
+    if len(status) < 2 or not status[1].isdigit():
+        raise ValueError(f"no HTTP status line in the reply to GET {path}")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return int(status[1]), headers, body
 
 
 class ObsHttpThread:
@@ -359,4 +410,5 @@ __all__ = [
     "ObsHttpServer",
     "ObsHttpThread",
     "PROMETHEUS_CONTENT_TYPE",
+    "http_get",
 ]

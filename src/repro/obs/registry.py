@@ -27,7 +27,7 @@ scrape time.  Collectors are registered and rendered even on a
 because it reads ground-truth state, not instrumentation.
 
 :class:`RateWindow` is the sliding-window companion used by the serve
-``stats`` op: push monotone totals as requests flow, read windowed
+``/stats`` snapshot: push monotone totals as requests flow, read windowed
 per-second rates on demand.
 """
 
@@ -485,7 +485,7 @@ class RateWindow:
     snapshots older than ``horizon`` seconds (beyond the one straddling
     the window edge) are discarded.  ``rates(now)`` returns per-second
     deltas between the oldest retained and the newest snapshot — the
-    windowed miss/cost rates surfaced by the serve ``stats`` op.
+    windowed miss/cost rates surfaced by the serve ``/stats`` snapshot.
     """
 
     __slots__ = ("horizon", "_snaps")

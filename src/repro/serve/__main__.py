@@ -6,7 +6,8 @@ Two subcommands::
     python -m repro.serve serve --policy alg-discrete --k 256 \\
         --tenants 4 --pages-per-tenant 500 --beta 2 --port 9731
 
-    # Replay a CSV (.gz ok) or columnar trace against a running server:
+    # Replay a CSV (.gz ok) or columnar trace against a running server
+    # (prints the client's totals; read the server's over --http):
     python -m repro.serve replay --host 127.0.0.1 --port 9731 trace.csv.gz
 
 The ``serve`` universe is ``tenants * pages-per-tenant`` pages owned in
@@ -147,8 +148,8 @@ async def _serve(args: argparse.Namespace) -> int:
 
 async def _replay(args: argparse.Namespace) -> int:
     trace = load_trace_file(args.trace)
-    stats = await replay_tcp(args.host, args.port, trace, batch=args.batch)
-    print(json.dumps(stats, indent=2))
+    totals = await replay_tcp(args.host, args.port, trace, batch=args.batch)
+    print(json.dumps(totals, indent=2))
     return 0
 
 
@@ -223,7 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_p.add_argument(
         "--audit", action="store_true",
         help="attach a streaming Theorem-1.1 competitive-ratio auditor "
-        "(adds the TCP `audit` op and audit_* gauges)",
+        "(adds /audit and the audit_* gauges to the --http plane)",
     )
     serve_p.add_argument(
         "--audit-window", type=int, default=None,
@@ -232,8 +233,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_p.add_argument(
         "--http", type=int, default=None, metavar="PORT",
         help="expose the HTTP admin plane on this port (0 = ephemeral): "
-        "/metrics /health /ready /alerts /timeline /stats; attaches a "
-        "default alert engine over the serve rule pack",
+        "/metrics /health /ready /alerts /timeline /stats (and /audit "
+        "with --audit); attaches a default alert engine over the serve "
+        "rule pack",
     )
     serve_p.add_argument(
         "--alerts-jsonl", default=None, metavar="PATH",

@@ -14,8 +14,9 @@ serving order — the server's single consumer guarantees it):
   pre-materialized trace: the online setting proper, with no horizon
   materialised anywhere.
 * :func:`replay_tcp` — the same closed-loop replay over the
-  line-delimited JSON TCP front end (used by the CI smoke jobs), with
-  four batch lines in flight on one connection.
+  line-delimited JSON TCP front end, with four batch lines in flight on
+  one connection; it returns the client's own totals, and the server's
+  state is read over HTTP (``/stats``) or in process.
 
 On-disk traces replay via :func:`load_trace_file`: ``page,tenant``
 CSVs — including ``.gz``-compressed ones — route through
@@ -253,12 +254,13 @@ async def replay_tcp(
     trace: Union[Trace, TraceReader],
     *,
     batch: int = 256,
-) -> Dict[str, object]:
+) -> Dict[str, int]:
     """Replay *trace* (in-RAM or a streaming columnar reader) over the
     TCP front end, keeping as many batches in flight as :func:`replay`
-    does by default; returns the final ``/stats`` document plus
-    client-side ``client_hits`` / ``client_misses`` totals (summed from
-    batch responses)."""
+    does by default, and end with a ``ping``.  Returns the totals of
+    the replies: ``requests``, ``hits`` and ``misses`` summed over the
+    batch replies, and the server's clock ``time`` from the ping, which
+    counts every request served before it (other clients' included)."""
     batch = check_positive_int(batch, "batch")
     reader, writer = await asyncio.open_connection(host, port)
 
@@ -283,20 +285,22 @@ async def replay_tcp(
             inflight -= 1
             hits += resp["hits"]
             misses += resp["misses"]
-        writer.write(json.dumps({"op": "stats"}).encode() + b"\n")
+        writer.write(json.dumps({"op": "ping"}).encode() + b"\n")
         await writer.drain()
         for _ in range(inflight):
             resp = await reply()
             hits += resp["hits"]
             misses += resp["misses"]
-        stats_resp = await reply()
+        ping = await reply()
     finally:
         writer.close()
         await writer.wait_closed()
-    stats = stats_resp["stats"]
-    stats["client_hits"] = hits
-    stats["client_misses"] = misses
-    return stats
+    return {
+        "requests": hits + misses,
+        "hits": hits,
+        "misses": misses,
+        "time": ping["time"],
+    }
 
 
 def load_trace_file(

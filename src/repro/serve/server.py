@@ -8,15 +8,22 @@ arrival order by a single consumer task (cache mutations stay
 sequential, exactly like the engine, so results are reproducible and
 policies need no locking).
 
-The consumer serves in **runs**: each time it wakes it takes every
-submission already queued and applies consecutive batches in one call
-(one framed exchange per worker at ``W > 1``), then completes their
-futures in submission order.  A TCP connection **reads ahead**: each
-``batch`` line is submitted as soon as it is read and answered from
-its future's done callback, so a pipelining client keeps several
-batches queued and the consumer sees them as one run.  The replies of
-a run leave in one write per connection, so such a client sends its
-next lines together too.
+Every submission is a batch of pages; a single request
+(:meth:`CacheServer.request`, the TCP ``request`` op) is a batch of
+one.  The consumer serves in **runs**: each time it wakes it takes
+every submission already queued and applies consecutive ones in one
+call (one framed exchange per worker at ``W > 1``), then completes
+their futures in submission order.  A TCP connection **reads ahead**:
+each ``batch`` or ``request`` line is submitted as soon as it is read
+and answered from its future's done callback, so a pipelining client
+keeps several submissions queued and the consumer sees them as one
+run.  The replies of a run leave in one write per connection, so such
+a client sends its next lines together too.
+
+TCP carries only the data path — ``batch``, ``request`` and ``ping``.
+Reads of the server's state (``/stats``, ``/metrics``, ``/audit``,
+``/alerts``) are served by the HTTP admin plane
+(:meth:`CacheServer.start_http`, :mod:`repro.obs.httpd`).
 
 Flow control is two-level:
 
@@ -40,7 +47,7 @@ cause instead of dying silently.  Enforced by
 
 The ``/stats`` snapshot (:meth:`CacheServer.stats`) is a plain dict:
 totals, per-tenant hits/misses/cost/marginal quote, queue depth, and
-per-shard occupancy — the same document over TCP ``{"op": "stats"}``.
+per-shard occupancy.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from time import monotonic, perf_counter
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,7 +98,6 @@ class RequestOutcome:
     hit: bool
     t: int
     shard: int
-    victim: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,11 @@ class BatchOutcome:
 
 #: What a malformed TCP line raises while it is decoded and checked.
 _BAD_LINE = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+#: The longest TCP line the server reads, newline excluded: asyncio's
+#: default stream limit.  A longer line is answered with an error and
+#: discarded; the connection's later lines are served in order.
+_LINE_LIMIT = 2 ** 16
 
 
 def _batch_pages(msg: Dict[str, object]) -> list:
@@ -126,6 +137,34 @@ def _batch_reply(out: BatchOutcome, detail: object) -> Dict[str, object]:
     if detail:
         resp["hit_flags"] = out.hit_flags
     return resp
+
+
+#: The reply to a TCP line longer than :data:`_LINE_LIMIT`.
+_TOO_LONG = {"ok": False, "error": f"line longer than {_LINE_LIMIT} bytes"}
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line of *reader*, newline included (``b""`` at EOF; a
+    last line without a newline is returned as it is), or ``None`` for
+    a line longer than the reader's limit — read on to its newline and
+    discarded, so the next call returns the line after it."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        scanned = exc.consumed
+    while True:
+        # Drop what was scanned, then look for the newline past it.
+        await reader.readexactly(scanned)
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            pass  # the stream ended inside the line
+        except asyncio.LimitOverrunError as exc:
+            scanned = exc.consumed
+            continue
+        return None
 
 
 class TenantGate:
@@ -188,15 +227,14 @@ class TenantGate:
         return self.capacity - self._available
 
 
-#: Queue items: (pages, future, detail, per-tenant credits to release,
-#: enqueue timestamp for queue-wait accounting — 0.0 when obs is off,
-#: route slot).  The route slot is a TCP submission's ``[trace_id,
-#: router span id]``, filled when the submission is routed traced, so
-#: its reply span links into the tree; ``None`` elsewhere.
+#: Queue items: (pages, future, per-tenant credits to release, enqueue
+#: timestamp for queue-wait accounting — 0.0 when obs is off, route
+#: slot).  The route slot is a TCP submission's ``[trace_id, router
+#: span id]``, filled when the submission is routed traced, so its
+#: reply span links into the tree; ``None`` elsewhere.
 _Item = Tuple[
     Sequence[int],
     "asyncio.Future",
-    bool,
     Optional[List[Tuple[int, int]]],
     float,
     Optional[List[int]],
@@ -270,13 +308,13 @@ class CacheServer:
         backpressure and drain semantics are the same and results are
         bit-identical for any ``W`` (the global clock is assigned
         before routing).  Scrape paths merge the workers' ledgers,
-        keeping ``stats``/``metrics`` exact.
+        keeping ``/stats`` and ``/metrics`` exact.
     obs:
         Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults
         to a fresh, env-gated bundle per server so collector metric
         names never collide across servers.  When its registry is
         disabled (``REPRO_OBS=off``) the hot path takes a single extra
-        boolean check; the ``metrics`` op still renders ground-truth
+        boolean check; ``/metrics`` still renders ground-truth
         counters via scrape-time collectors.
     monitor_every:
         When ``obs.monitor`` is set, sample the invariant monitor every
@@ -396,8 +434,7 @@ class CacheServer:
         )
         # Ground-truth counters come from scrape-time collectors (the
         # ledger/shards are the source of truth), so the hot path never
-        # double-books and the `metrics` op stays exact under
-        # REPRO_OBS=off.
+        # double-books and `/metrics` stays exact under REPRO_OBS=off.
         reg.register_collector(self._collect_metrics)
         self._rates = RateWindow()
         #: The in-process serving core (idle at ``workers > 1``, where
@@ -620,10 +657,7 @@ class CacheServer:
         return self.obs.tracer.span("serve.ingress", n=n)
 
     async def _submit(
-        self,
-        pages: Sequence[int],
-        detail: bool,
-        route: Optional[List[int]] = None,
+        self, pages: Sequence[int], route: Optional[List[int]] = None
     ) -> asyncio.Future:
         if self._closed or self._queue is None:
             raise ServerClosed(f"server {self.name!r} is not accepting requests")
@@ -641,20 +675,30 @@ class CacheServer:
                     credits.append((tenant, taken))
             fut = asyncio.get_running_loop().create_future()
             t_enq = perf_counter() if self._obs_active else 0.0
-            await self._queue.put((pages, fut, detail, credits, t_enq, route))
+            await self._queue.put((pages, fut, credits, t_enq, route))
         return fut
 
     async def request(self, page: int) -> RequestOutcome:
-        """Serve one page request; resolves once it has been applied."""
-        fut = await self._submit((page,), detail=True)
-        return (await fut)[0]
+        """Serve one page request — a batch of one; resolves once it
+        has been applied."""
+        return self._outcome(page, await (await self._submit((page,))))
+
+    def _outcome(self, page: int, out: BatchOutcome) -> RequestOutcome:
+        """A served batch of one, *page*, as a request's outcome."""
+        return RequestOutcome(
+            page=page,
+            tenant=self._owners_list[page],
+            hit=out.hit_flags[0],
+            t=out.t0,
+            shard=self.shards.shard_of(page),
+        )
 
     async def submit_many(self, pages: Sequence[int]) -> asyncio.Future:
         """Enqueue a batch, returning the future of its
         :class:`BatchOutcome` — the pipelining primitive: submission
         order is serving order, so callers may keep several batches in
         flight and await the futures later."""
-        return await self._submit(pages, detail=False)
+        return await self._submit(pages)
 
     async def request_many(self, pages: Sequence[int]) -> BatchOutcome:
         """Serve a batch and wait for its outcome."""
@@ -704,8 +748,8 @@ class CacheServer:
     def _serve(self, run: List[Optional[_Item]]) -> bool:
         """Serve a run in submission order and mark it done on the queue.
 
-        Consecutive batches share one apply call; a detail submission
-        (``request``) or a head-sampled one gets a call of its own.
+        Consecutive submissions share one apply call; a head-sampled
+        one gets a call of its own.
         Returns False when applying raised — a shard worker died or
         errored (``WorkerCrashed``), or a policy raised in this process:
         every request of the run not yet served and everything queued
@@ -715,8 +759,7 @@ class CacheServer:
         assert queue is not None
         items = [item for item in run if item is not None]
         traced = [self._head_sample() for _ in items]
-        alone = [item[2] or sampled for item, sampled in zip(items, traced)]
-        ends = [i for i in range(1, len(items)) if alone[i] or alone[i - 1]]
+        ends = [i for i in range(1, len(items)) if traced[i] or traced[i - 1]]
         if items:
             ends.append(len(items))
         start = 0
@@ -781,7 +824,7 @@ class CacheServer:
     def _fail_item(self, item: Optional[_Item], exc: BaseException) -> None:
         if item is None:
             return
-        _pages, fut, _detail, credits, _t_enq, _route = item
+        _pages, fut, credits, _t_enq, _route = item
         if credits is not None and self._gates is not None:
             for tenant, n in credits:
                 self._gates[tenant].release(n)
@@ -831,8 +874,8 @@ class CacheServer:
         submission order, so observing after the call is exact), the
         route span and the apply telemetry run once per call; outcome,
         credit release and future completion once per submission, in
-        order.  A detail or traced submission arrives alone; *traced*
-        is its head-sampling decision."""
+        order.  A traced submission arrives alone; *traced* is its
+        head-sampling decision."""
         obs_on = self._obs_active
         if obs_on:
             t_start = perf_counter()
@@ -840,7 +883,6 @@ class CacheServer:
         pages = (
             run[0][0] if len(run) == 1 else [p for item in run for p in item[0]]
         )
-        detail = run[0][2]
         # Distributed span context (worker pool only): a deterministic
         # per-submission trace id (the global clock is unique and
         # nonzero after +1) and a router-side root span id that the
@@ -852,18 +894,15 @@ class CacheServer:
             root_span = next(self.obs.tracer._ids)
             t_route = perf_counter()
         if pool is None:
-            served = self._group.apply(pages, range(t0, t0 + len(pages)), detail)
-            if not detail:
-                served = hit_flags(len(pages), served)
-        elif detail:
-            served = pool.apply_detail(np.asarray(pages, dtype=np.int64), t0)
+            flags = hit_flags(
+                len(pages), self._group.apply(pages, range(t0, t0 + len(pages)))
+            )
         else:
-            served = pool.apply(
+            flags = pool.apply(
                 np.asarray(pages, dtype=np.int64), t0, trace_id, root_span
             ).astype(bool).tolist()
         self._t = t0 + len(pages)
         owners = self._owners_list
-        flags = [hit for hit, _victim, _sid in served] if detail else served
         auditor = self._auditor
         if auditor is not None:
             for page, hit in zip(pages, flags):
@@ -881,33 +920,21 @@ class CacheServer:
                 t0=t0,
                 workers=self.workers,
             )
-            route = run[0][5]
+            route = run[0][4]
             if route is not None:  # a TCP submission: link its reply
                 route[:] = (trace_id, root_span)
         if obs_on:
             self._account(run, len(pages), t_start, traced)
         gates = self._gates
         lo = 0
-        for item_pages, fut, _detail, credits, _t_enq, _route in run:
+        for item_pages, fut, credits, _t_enq, _route in run:
             hi = lo + len(item_pages)
-            result: object
-            if detail:
-                result = [
-                    RequestOutcome(
-                        page=page, tenant=owners[page], hit=hit, t=t,
-                        shard=sid, victim=victim,
-                    )
-                    for t, (page, (hit, victim, sid)) in enumerate(
-                        zip(pages, served), t0
-                    )
-                ]
-            else:
-                item_flags = flags[lo:hi]
-                hits = sum(item_flags)
-                result = BatchOutcome(
-                    t0=t0 + lo, hits=hits, misses=hi - lo - hits,
-                    hit_flags=item_flags,
-                )
+            item_flags = flags[lo:hi]
+            hits = sum(item_flags)
+            result = BatchOutcome(
+                t0=t0 + lo, hits=hits, misses=hi - lo - hits,
+                hit_flags=item_flags,
+            )
             if credits is not None and gates is not None:
                 for tenant, n in credits:
                     gates[tenant].release(n)
@@ -923,7 +950,7 @@ class CacheServer:
         observation, one queue wait per submission; *traced* is the
         head-sampling decision of a submission served alone."""
         dur = perf_counter() - t_start
-        waits = [(t_start - item[4]) if item[4] else 0.0 for item in run]
+        waits = [(t_start - item[3]) if item[3] else 0.0 for item in run]
         if self._metrics_on:
             self._h_apply.observe(dur)
             for wait in waits:
@@ -1173,14 +1200,14 @@ class CacheServer:
         return out
 
     def prometheus_metrics(self) -> str:
-        """Prometheus text exposition (the TCP ``metrics`` op)."""
+        """Prometheus text exposition (``/metrics``)."""
         return self.obs.registry.render()
 
     # ------------------------------------------------------------------
     # Competitive-ratio audit
     # ------------------------------------------------------------------
     def audit(self) -> Dict[str, object]:
-        """The live Theorem-1.1 audit snapshot (TCP ``audit`` op).
+        """The live Theorem-1.1 audit snapshot (``/audit``).
 
         Requires an :class:`~repro.obs.audit.CompetitiveAuditor` on the
         bundle (``obs.auditor``); raises :class:`RuntimeError` otherwise.
@@ -1319,7 +1346,7 @@ class CacheServer:
         if self._queue is None or self._closed:
             raise RuntimeError("start() the server before start_tcp()")
         self._tcp_server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=_LINE_LIMIT
         )
         sock_host, sock_port = self._tcp_server.sockets[0].getsockname()[:2]
         return sock_host, sock_port
@@ -1328,12 +1355,13 @@ class CacheServer:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> Tuple[str, int]:
         """Expose the HTTP admin plane (``/metrics``, ``/health``,
-        ``/ready``, ``/alerts``, ``/timeline``, ``/stats``) on the
-        event loop; returns the bound ``(host, port)``.
+        ``/ready``, ``/alerts``, ``/audit``, ``/timeline``, ``/stats``)
+        on the event loop; returns the bound ``(host, port)``.
 
-        ``/metrics`` serves the same worker-merged scrape as the TCP
-        ``metrics`` op; ``/ready`` is drain-aware (503 the moment
-        :meth:`stop` begins, while accepted requests still drain).
+        ``/metrics`` serves the worker-merged scrape, ``/audit`` the
+        auditor's snapshot (404 without an auditor); ``/ready`` is
+        drain-aware (503 the moment :meth:`stop` begins, while accepted
+        requests still drain).
         """
         if self._httpd is not None:
             raise RuntimeError("HTTP admin plane already started")
@@ -1342,6 +1370,7 @@ class CacheServer:
         self._httpd = ObsHttpServer(
             metrics=self.prometheus_metrics,
             alerts=self.alerts,
+            audit=self.audit if self._auditor is not None else None,
             timeline=self.obs.timeline,
             stats=self.stats,
             ready=lambda: not self._closed,
@@ -1355,26 +1384,31 @@ class CacheServer:
     ) -> None:
         """Serve one connection, reading ahead.
 
-        A well-formed ``batch`` line is submitted as soon as it is read
-        and answered from its future's done callback.  Futures complete
-        in submission order and each reply callback is the first one
-        added to its future, so batch replies reach the outbox in line
-        order.  Every other line — another op, a ``request``, a
-        malformed line, a batch refused with ``ServerClosed`` — is
-        answered here once the newest batch's future is done and its
-        reply queued.  The connection is read only as fast as its
-        replies drain, and at EOF the replies still owed are written
-        before it closes."""
+        Each line is decoded once (:meth:`_decode`).  A ``batch`` or
+        ``request`` the server accepts is submitted as soon as it is
+        read and answered from its future's done callback.  Futures
+        complete in submission order and each reply callback is the
+        first one added to its future, so those replies reach the
+        outbox in line order.  Every other line — ``ping``, an unknown
+        op, a malformed or over-long line, a submission refused with
+        ``ServerClosed`` — is answered here once the newest submission's
+        future is done and its reply queued, so ``ping``'s ``time``
+        counts every line before it.  The connection is read only as
+        fast as its replies drain, and at EOF the replies still owed are
+        written before it closes."""
         newest: Optional[asyncio.Future] = None
         outbox = _Outbox(writer)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line is None:
+                    decoded: object = _TOO_LONG
+                elif not line:
                     break
-                fut = await self._read_ahead(line, outbox)
-                if fut is not None:
-                    newest = fut
+                else:
+                    decoded = await self._decode(line, outbox)
+                if isinstance(decoded, asyncio.Future):
+                    newest = decoded
                 else:
                     if newest is not None:
                         # Not newest.done(): a done future's reply
@@ -1382,14 +1416,14 @@ class CacheServer:
                         # after it.
                         await asyncio.wait((newest,))
                         newest = None
-                    route = [0, 0] if self._tracing_on else None
-                    response = await self._dispatch_line(line, route)
-                    self._write(outbox, response, route)
+                    if decoded is None:  # ping
+                        decoded = {"ok": True, "time": self._t}
+                    self._write(outbox, decoded, None)  # type: ignore[arg-type]
                 await writer.drain()
             if newest is not None:
                 await asyncio.wait((newest,))
         except ConnectionError:
-            pass  # the client went away; its accepted batches are still served
+            pass  # the client went away; its accepted lines are still served
         finally:
             outbox.flush()
             writer.close()
@@ -1401,38 +1435,65 @@ class CacheServer:
             ):
                 pass
 
-    async def _read_ahead(
+    async def _decode(
         self, line: bytes, outbox: _Outbox
-    ) -> Optional[asyncio.Future]:
-        """Submit *line* if it is a well-formed ``batch`` the server
-        accepts, replying from the future's done callback; ``None`` for
-        every other line (the caller answers it inline)."""
+    ) -> Union[asyncio.Future, Dict[str, object], None]:
+        """Decode one TCP line.
+
+        A ``batch`` or ``request`` the server accepts is submitted, its
+        reply queued from the future's done callback, and the future
+        returned.  ``ping`` returns ``None``: the caller reads the clock
+        once the lines before it are served.  Any other line gets its
+        error reply, and malformed input — bad JSON, a JSON value that
+        is not an object, bad fields — leaves the server and the
+        connection as they were."""
         try:
             msg = json.loads(line)
-            if type(msg) is not dict or msg.get("op") != "batch":
+            if type(msg) is not dict:
+                raise TypeError(
+                    f"expected a JSON object, got {type(msg).__name__}"
+                )
+            op = msg.get("op")
+            if op == "batch":
+                pages: Sequence[int] = _batch_pages(msg)
+                encode = partial(_batch_reply, detail=msg.get("detail"))
+            elif op == "request":
+                page = msg["page"]
+                if type(page) is not int:
+                    raise TypeError(f"page must be a JSON integer, got {page!r}")
+                pages = (page,)
+                encode = partial(self._request_reply, page)
+            elif op == "ping":
                 return None
+            else:
+                return {"ok": False, "error": f"unknown op {op!r}"}
             route = [0, 0] if self._tracing_on else None
-            fut = await self._submit(_batch_pages(msg), False, route)
-        except (ServerClosed,) + _BAD_LINE:
-            return None
-        fut.add_done_callback(
-            partial(self._reply, outbox, bool(msg.get("detail")), route)
-        )
+            fut = await self._submit(pages, route)
+        except ServerClosed as exc:
+            return {"ok": False, "error": str(exc)}
+        except _BAD_LINE as exc:
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        fut.add_done_callback(partial(self._reply, outbox, encode, route))
         return fut
+
+    def _request_reply(self, page: int, out: BatchOutcome) -> Dict[str, object]:
+        """The reply line of a served ``request`` op."""
+        o = self._outcome(page, out)
+        return {"ok": True, "hit": o.hit, "tenant": o.tenant, "t": o.t, "shard": o.shard}
 
     def _reply(
         self,
         outbox: _Outbox,
-        detail: bool,
+        encode: Callable[[BatchOutcome], Dict[str, object]],
         route: Optional[List[int]],
         fut: asyncio.Future,
     ) -> None:
-        """Done callback of a read-ahead batch: queue its reply line."""
+        """Done callback of a read-ahead submission: queue its reply line."""
         exc = fut.exception()  # retrieved even when the client is gone
         if exc is not None:
             self._write(outbox, {"ok": False, "error": str(exc)}, None)
         else:
-            self._write(outbox, _batch_reply(fut.result(), detail), route)
+            self._write(outbox, encode(fut.result()), route)
 
     def _write(
         self,
@@ -1464,71 +1525,6 @@ class CacheServer:
             )
         else:
             tracer.record_span("serve.reply", dur, bytes=len(payload))
-
-    async def _dispatch_line(
-        self, line: bytes, route: Optional[List[int]] = None
-    ) -> Dict[str, object]:
-        """Answer one TCP line inline.  Malformed input — bad JSON, a
-        JSON value that is not an object, bad fields — gets an error
-        reply and leaves the server and the connection as they were.
-        *route* is the route slot a ``request`` submission carries."""
-        try:
-            msg = json.loads(line)
-            if not isinstance(msg, dict):
-                raise TypeError(
-                    f"expected a JSON object, got {type(msg).__name__}"
-                )
-            op = msg.get("op")
-            if op == "request":
-                page = msg["page"]
-                if type(page) is not int:
-                    raise TypeError(f"page must be a JSON integer, got {page!r}")
-                fut = await self._submit((page,), True, route)
-                out = (await fut)[0]
-                return {
-                    "ok": True,
-                    "hit": out.hit,
-                    "tenant": out.tenant,
-                    "t": out.t,
-                    "shard": out.shard,
-                }
-            if op == "batch":
-                batch = await self.request_many(_batch_pages(msg))
-                return _batch_reply(batch, msg.get("detail"))
-            if op == "stats":
-                return {"ok": True, "stats": self.stats()}
-            if op == "metrics":
-                return {"ok": True, "metrics": self.prometheus_metrics()}
-            if op == "audit":
-                if self._auditor is None:
-                    return {"ok": False, "error": "no auditor attached"}
-                return {"ok": True, "audit": self.audit()}
-            if op == "quote":
-                tenant = msg["tenant"]
-                if type(tenant) is not int:
-                    raise TypeError(f"tenant must be a JSON integer, got {tenant!r}")
-                if not 0 <= tenant < self.shards.num_users:
-                    raise ValueError(
-                        f"tenant {tenant} outside [0, {self.shards.num_users})"
-                    )
-                ledger = self.ledger
-                return {
-                    "ok": True,
-                    "tenant": tenant,
-                    "marginal_quote": ledger.marginal_quote(tenant),
-                    "cost": ledger.cost_of(tenant),
-                }
-            if op == "alerts":
-                if self.alerts is None:
-                    return {"ok": False, "error": "no alert engine attached"}
-                return {"ok": True, "alerts": self.alerts.snapshot()}  # type: ignore[attr-defined]
-            if op == "ping":
-                return {"ok": True, "time": self._t}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-        except ServerClosed as exc:
-            return {"ok": False, "error": str(exc)}
-        except _BAD_LINE as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

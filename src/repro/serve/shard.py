@@ -480,10 +480,8 @@ class ShardGroup:
         self._since_sample = 0
         self._flags_seen = 0 if monitor is None else len(monitor.flags)
 
-    def apply(
-        self, pages: Sequence[int], ts: Sequence[int], detail: bool = False
-    ) -> list:
-        """Serve one routed batch: ``pages[i]`` (a list of ints or an
+    def apply(self, pages: Sequence[int], ts: Sequence[int]) -> List[int]:
+        """Serve one routed batch: ``pages[i]`` (a sequence of ints or an
         int64 array) at global time ``ts[i]``.
 
         One :meth:`ShardManager.serve_batch` and one
@@ -491,42 +489,34 @@ class ShardGroup:
         between monitor samples: a batch is cut wherever it crosses the
         sampling cadence, so the monitor samples every *monitor_every*
         requests however the stream is batched.  Returns the positions
-        of the misses (:func:`hit_flags` makes flags of them), or
-        ``(hit, victim, shard_id)`` per request when *detail* is set."""
+        of the misses (:func:`hit_flags` makes flags of them)."""
         every = self._sample_every
         if not every:
-            return self._serve(pages, ts, detail)
-        served: list = []
+            return self._serve(pages, ts)
+        misses: List[int] = []
         done = 0
         while self._since_sample + len(pages) >= every:
             cut = every - self._since_sample
-            served += self._serve(pages[:cut], ts[:cut], detail, done)
+            misses += self._serve(pages[:cut], ts[:cut], done)
             self._since_sample = 0
             self.sample(int(ts[cut - 1]) + 1)
             pages, ts = pages[cut:], ts[cut:]
             done += cut
         if len(pages):
             self._since_sample += len(pages)
-            served += self._serve(pages, ts, detail, done)
-        return served
+            misses += self._serve(pages, ts, done)
+        return misses
 
     def _serve(
-        self, pages: Sequence[int], ts: Sequence[int], detail: bool, offset: int = 0
-    ) -> list:
-        shards = self.shards
-        if detail:
-            served = [shards.serve(p, t) for p, t in zip(pages, ts)]
-            misses = [i for i, row in enumerate(served) if not row[0]]
-        else:
-            misses = shards.serve_batch(pages, ts)
+        self, pages: Sequence[int], ts: Sequence[int], offset: int = 0
+    ) -> List[int]:
+        misses = self.shards.serve_batch(pages, ts)
         if len(pages) <= SMALL_BATCH:
             owners = self.owners_list
             tenants = [owners[p] for p in pages]
         else:
             tenants = self._owners.take(pages)
         self.ledger.record(tenants, misses, ts)
-        if detail:
-            return served
         return [offset + i for i in misses] if offset else misses
 
     def sample(self, t: int) -> None:

@@ -51,7 +51,7 @@ frame whose first byte is its tag:
   working run size.  The child answers ``b"F"`` + one hit-flag byte
   per request, or ``b"E"`` + an error message.
 * ``b"!"`` — a control frame: a pickled message for the construction
-  handshake, detail/snapshot/flight/profile gathers, and shutdown.
+  handshake, snapshot/flight/profile gathers, and shutdown.
 
 Exchanges are strictly synchronous request/reply per worker, and both
 the serve consumer's apply call and the scrape paths run without
@@ -69,7 +69,7 @@ scrape-time collectors", DESIGN.md): each worker reports its group's
 shard occupancy/evictions, decision timers, monitor counts — and
 :meth:`ShardWorkerPool.snapshot` merges them into the document an
 in-process group produces (one :meth:`~repro.serve.accounting.
-CostLedger.merge` per worker), so ``stats`` / ``metrics`` / ``audit``
+CostLedger.merge` per worker), so ``/stats`` / ``/metrics`` / ``/audit``
 output is schema-identical at any ``W``.  Windowed SLA rows stay exact
 because every ledger bins misses by the *global* window index
 ``t // window``.
@@ -272,11 +272,6 @@ class _WorkerState:
     def control(self, msg: tuple) -> object:
         """The reply to one control message (the ``b"!"`` frames)."""
         op = msg[0]
-        if op == "d":  # apply with per-request detail
-            _, t0, pos_b, pages_b = msg
-            pos = np.frombuffer(pos_b, dtype=np.int32).tolist()
-            pages = np.frombuffer(pages_b, dtype=np.int64).tolist()
-            return self.group.apply(pages, [t0 + p for p in pos], True)
         if op == "s":  # snapshot (scrape-time gather)
             return self.snapshot()
         if op == "f":  # flight window gather
@@ -713,10 +708,6 @@ class ShardWorkerPool:
             raise error
         return replies
 
-    def route(self, pages: np.ndarray) -> np.ndarray:
-        """Per-page worker ids (the precomputed splitmix64 table)."""
-        return self._page_worker[pages]
-
     def _split(self, pages: np.ndarray) -> List[Tuple[int, np.ndarray]]:
         """``(worker, positions)`` for every worker the batch touches."""
         wids = self._page_worker[pages]
@@ -752,30 +743,6 @@ class ShardWorkerPool:
         for (_w, pos), (_, reply) in zip(parts, replies):
             flags[pos] = reply
         return flags
-
-    def apply_detail(
-        self, pages: np.ndarray, t0: int
-    ) -> List[Tuple[bool, Optional[int], int]]:
-        """Serve one batch keeping per-request ``(hit, victim, shard)``.
-
-        Detail exchanges ride the control plane (pickled): they return
-        heterogeneous tuples, and the single-request path that uses
-        them is not the throughput path."""
-        pages = np.ascontiguousarray(pages, dtype=np.int64)
-        parts = self._split(pages)
-        replies = self._exchange(
-            [
-                (w, ("d", t0, pos.astype(np.int32).tobytes(), pages[pos].tobytes()))
-                for w, pos in parts
-            ]
-        )
-        out: List[Optional[Tuple[bool, Optional[int], int]]] = [None] * int(
-            pages.size
-        )
-        for (_w, pos), (_, reply) in zip(parts, replies):
-            for i, tup in zip(pos.tolist(), reply):
-                out[i] = tuple(tup)
-        return out  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Scrape-time gather

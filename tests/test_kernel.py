@@ -11,7 +11,7 @@
   some of the ``S`` shards and serves its share of a trace in arbitrary
   batch splits — single requests up to batches beyond the scanner's
   largest chunk — through :class:`~repro.serve.shard.ShardGroup`, with
-  or without a flight recorder, per-request detail and monitor cuts.
+  or without a flight recorder and monitor cuts.
   Per-request flags, victims, ledger counters, final residency and
   flight events must equal ``simulate(engine="reference")`` run on
   each owned shard's subsequence.
@@ -182,7 +182,6 @@ def test_routed_batches_match_reference_per_shard(data):
     num_pages = trace.num_pages
     k = data.draw(st.integers(num_shards, max(num_shards, num_pages + 2)), label="k")
     flight = data.draw(st.booleans(), label="flight")
-    detail = data.draw(st.booleans(), label="detail") if not long else False
     every = data.draw(
         st.sampled_from([0, 1000] if long else [0, 1, 7, 100]), label="monitor every"
     )
@@ -211,18 +210,14 @@ def test_routed_batches_match_reference_per_shard(data):
     lo, i = 0, 0
     while lo < pages.size:
         hi = min(lo + splits[i % len(splits)], pages.size)
-        # The paths hand the group lists (one process, and the detail
-        # path) or arrays (a worker's frame).
-        if i % 2 and not detail:
-            out = group.apply(pages[lo:hi], mine[lo:hi], detail)
+        # The paths hand the group lists (one process) or arrays (a
+        # worker's frame).
+        if i % 2:
+            out = group.apply(pages[lo:hi], mine[lo:hi])
         else:
-            out = group.apply(pages[lo:hi].tolist(), mine[lo:hi].tolist(), detail)
-        if detail:
-            got_flags += [row[0] for row in out]
-            assert all(row[2] == mgr.shard_of(p) for row, p in zip(out, pages[lo:hi]))
-        else:
-            assert all(isinstance(j, int) for j in out)
-            got_flags += hit_flags(hi - lo, out)
+            out = group.apply(pages[lo:hi].tolist(), mine[lo:hi].tolist())
+        assert all(isinstance(j, int) for j in out)
+        got_flags += hit_flags(hi - lo, out)
         lo, i = hi, i + 1
 
     want_flags = np.zeros(pages.size, dtype=bool)

@@ -19,6 +19,7 @@ from repro.core.cost_functions import LinearCost, MonomialCost, combined_alpha
 from repro.core.offline import belady_misses
 from repro.obs import CompetitiveAuditor, Observability
 from repro.obs.audit import AUDIT_MODES
+from repro.obs.httpd import http_get
 from repro.obs.monitor import watch_simulation
 from repro.policies import POLICY_REGISTRY
 from repro.serve.server import CacheServer
@@ -209,7 +210,7 @@ class TestServeIntegration:
     def _trace(self):
         return random_multi_tenant_trace(4, 60, 2000, seed=41)
 
-    def test_tcp_audit_op_and_gauges(self):
+    def test_http_audit_route_and_gauges(self):
         trace = self._trace()
         costs = [MonomialCost(2.0)] * trace.num_users
 
@@ -221,49 +222,46 @@ class TestServeIntegration:
                 obs=Observability(auditor=auditor),
             )
             await server.start()
-            host, port = await server.start_tcp("127.0.0.1", 0)
+            host, port = await server.start_http()
             await server.request_many(trace.requests.tolist())
-            reader, writer = await asyncio.open_connection(host, port)
-
-            async def ask(op):
-                writer.write(json.dumps({"op": op}).encode() + b"\n")
-                await writer.drain()
-                return json.loads(await reader.readline())
-
-            audit_resp = await ask("audit")
-            metrics_resp = await ask("metrics")
-            writer.close()
-            await writer.wait_closed()
+            index = await http_get(host, port, "/")
+            audit_resp = await http_get(host, port, "/audit")
+            metrics_resp = await http_get(host, port, "/metrics")
             await server.stop()
             final = server.audit()
-            return audit_resp, metrics_resp, final
+            return index, audit_resp, metrics_resp, final
 
-        audit_resp, metrics_resp, final = asyncio.run(go())
-        assert audit_resp["ok"]
-        snap = audit_resp["audit"]
+        index, audit_resp, metrics_resp, final = asyncio.run(go())
+        assert "/audit" in json.loads(index[2])["routes"]
+        assert audit_resp[0] == 200
+        snap = json.loads(audit_resp[2])
         assert snap["bound_holds"]
+        assert snap["audit_ratio"] <= snap["audit_theorem11_bound"]
         assert snap["requests"] == trace.length
-        assert "audit_ratio" in metrics_resp["metrics"]
-        assert "audit_theorem11_bound" in metrics_resp["metrics"]
+        assert snap["mode"] == "belady" and snap["window"] == 64
+        metrics = metrics_resp[2].decode()
+        assert "audit_ratio" in metrics
+        assert "audit_theorem11_bound" in metrics
         # stop() finalizes: the whole stream is priced.
         assert final["processed"] == trace.length
         assert final["pending"] == 0
         assert final["bound_holds"]
 
-    def test_audit_op_without_auditor(self):
+    def test_audit_route_404_without_auditor(self):
         trace = self._trace()
 
         async def go():
             server = CacheServer("lru", 16, trace.owners, None)
             await server.start()
-            resp = await server._dispatch_line(
-                json.dumps({"op": "audit"}).encode()
-            )
+            host, port = await server.start_http()
+            index = await http_get(host, port, "/")
+            resp = await http_get(host, port, "/audit")
             with pytest.raises(RuntimeError, match="auditor"):
                 server.audit()
             await server.stop()
-            return resp
+            return index, resp
 
-        resp = asyncio.run(go())
-        assert resp["ok"] is False
-        assert "auditor" in resp["error"]
+        index, (status, _headers, body) = asyncio.run(go())
+        assert "/audit" not in json.loads(index[2])["routes"]
+        assert status == 404
+        assert "audit" in json.loads(body)["error"]

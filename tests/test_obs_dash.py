@@ -1,23 +1,32 @@
-"""Dashboard rendering — pure-function tests on canned frames.
+"""Dashboard rendering and reading.
 
-Transport (TCP scraping) is covered end-to-end by the serve tests;
-here :func:`render_dashboard` and its helpers are fed synthetic
+:func:`render_dashboard` and its helpers are fed synthetic
 :class:`DashFrame` snapshots so the layout logic is pinned without a
-running server.
+running server; :func:`fetch_frame` is read against live HTTP planes —
+a server with every panel, one without an auditor or alert engine, and
+a :class:`~repro.net.netsim.NetworkSim`.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
+from repro.core.cost_functions import MonomialCost
+from repro.net import NetworkSim, path_topology
+from repro.obs import CompetitiveAuditor, Observability
 from repro.obs.dash import (
     DashFrame,
     SPARK_CHARS,
     _latency_counts,
+    fetch_frame,
     ratio_bar,
     render_dashboard,
     sparkline,
 )
+from repro.serve import CacheServer
+from repro.workloads.builders import random_multi_tenant_trace
 
 
 def make_stats(t=1000, requests=1000, hits=600, queue_depth=3,
@@ -262,3 +271,69 @@ class TestAlertsPanel:
         )
         text = render_dashboard([frame])
         assert "ALERTS: 0 firing  1 pending  0 resolved" in text
+
+
+class TestFetchFrame:
+    """:func:`fetch_frame` against live HTTP planes."""
+
+    trace = random_multi_tenant_trace(3, 40, 2_000, seed=5)
+    costs = [MonomialCost(2)] * 3
+
+    def _frame(self, server):
+        # Reads are bounded: a reader that does not speak HTTP waits
+        # forever on a plane.
+        async def go():
+            await server.start()
+            if server.http_address is None:
+                await server.start_http()
+            await server.request_many(self.trace.requests.tolist())
+            frame = await asyncio.wait_for(
+                fetch_frame(*server.http_address), timeout=10
+            )
+            await server.stop()
+            return frame
+
+        return asyncio.run(go())
+
+    def test_every_panel_from_a_server_with_auditor_and_alerts(self):
+        server = CacheServer(
+            "alg-discrete", 32, self.trace.owners, self.costs,
+            obs=Observability(auditor=CompetitiveAuditor(self.costs, 32)),
+            http_port=0,  # attaches the default alert engine
+        )
+        frame = self._frame(server)
+        assert frame.stats["requests"] == self.trace.length
+        assert frame.metrics[("serve_requests_total", ())] == self.trace.length
+        assert frame.audit["requests"] == self.trace.length
+        assert frame.audit["mode"] == "belady"
+        assert frame.alerts is not None and "active" in frame.alerts
+        text = render_dashboard([frame])
+        assert "Theorem 1.1 audit (belady" in text
+        assert "ALERTS" in text and "tenant" in text
+
+    def test_audit_and_alerts_absent_without_auditor_or_engine(self):
+        server = CacheServer("lru", 32, self.trace.owners, self.costs)
+        frame = self._frame(server)
+        assert frame.stats["requests"] == self.trace.length
+        assert frame.audit is None and frame.alerts is None
+        text = render_dashboard([frame])
+        assert "audit" not in text and "ALERTS" not in text
+
+    def test_network_plane_renders_per_node_rows(self):
+        net = NetworkSim(
+            path_topology(2, 16), "lru", obs=Observability.enabled(),
+            http_port=0,
+        )
+        result = net.run(self.trace)
+        try:
+            frame = asyncio.run(
+                asyncio.wait_for(fetch_frame(*net.http_address), timeout=10)
+            )
+        finally:
+            net.stop_http()
+        assert frame.stats == {} and frame.audit is None
+        text = render_dashboard([frame])
+        for node in result.nodes:
+            row = next(line for line in text.splitlines()
+                       if line.split()[:1] == [node.name])
+            assert f"{node.hits:,}" in row and f"{node.misses:,}" in row

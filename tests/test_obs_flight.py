@@ -136,12 +136,15 @@ class TestReplayAllPolicies:
         assert check.events == trace.length
         assert "bit-identical" in check.summary()
 
-    def test_sharded_serve_recording_replays_clean(self):
+    def test_sharded_serve_recording_replays_clean(self, tmp_path):
+        """An S=4 serve recording replays bit-identically, and so does
+        its JSONL dump read back."""
         trace = _trace()
         costs = _costs(trace)
+        path = str(tmp_path / "serve.jsonl")
 
         async def go():
-            fl = FlightRecorder(capacity=trace.length)
+            fl = FlightRecorder(capacity=trace.length, dump_path=path)
             server = CacheServer(
                 "alg-discrete", 16, trace.owners, costs,
                 num_shards=4, policy_seed=SEED,
@@ -156,6 +159,12 @@ class TestReplayAllPolicies:
         assert fl.meta["num_shards"] == 4
         assert fl.meta["policy_seed"] == SEED
         check = verify_flight(fl, trace.owners, costs=costs)
+        assert check.ok, check.summary()
+        assert fl.dumps == 0  # a clean run dumps nothing by itself
+        fl.dump_jsonl(reason="check")
+        dump = load_flight(path)
+        assert len(dump.events) == trace.length
+        check = verify_flight(dump, trace.owners, costs=costs)
         assert check.ok, check.summary()
 
     def test_budget_fields_recorded_for_alg_discrete(self):

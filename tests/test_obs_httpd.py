@@ -1,11 +1,12 @@
 """The HTTP admin plane: routes, drain-aware readiness, the daemon
 thread wrapper, and the full :class:`CacheServer` integration — the
-acceptance properties that ``/metrics`` is strict-parseable and
-counter-identical to the TCP ``metrics`` op, that per-tenant counters
-stay bit-identical to an offline ``simulate()`` with the alert engine
-and HTTP plane enabled, and that a worker crash fires (then resolves)
-``serve-worker-crashed`` within a timeline tick, visible at
-``/alerts``.
+acceptance properties that ``/metrics`` is strict-parseable, that its
+per-tenant counters stay bit-identical to an offline ``simulate()``
+with the alert engine and HTTP plane enabled (and, at ``W=2``, to the
+in-process run of the same shard set), that a lost worker fires (then
+resolves) ``serve-worker-crashed`` within a timeline tick, visible at
+``/alerts`` and in the alert sink, and that injected invariant drift
+fires ``serve-invariant-drift``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from repro.obs import (
 )
 from repro.obs.alerts import AlertEngine, FIRING, RESOLVED, serve_rule_pack
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
-from repro.obs.httpd import ObsHttpServer, ObsHttpThread
+from repro.obs.httpd import ObsHttpServer, ObsHttpThread, http_get
+from repro.obs.monitor import InvariantMonitor
 from repro.obs.timeline import Timeline
-from repro.serve import CacheServer
+from repro.obs.tracing import JsonlSink
+from repro.serve import CacheServer, ServerClosed, serve_trace
 from repro.sim import simulate
 from repro.workloads.builders import random_multi_tenant_trace
 
@@ -63,26 +66,6 @@ def _get(addr, path, data=None):
         return exc.code, dict(exc.headers), exc.read()
 
 
-async def _http_get(host, port, path):
-    """Async HTTP GET — required when the server shares our loop."""
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(
-        f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
-    )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    head, _, body = raw.partition(b"\r\n\r\n")
-    lines = head.split(b"\r\n")
-    status = int(lines[0].split()[1])
-    headers = {}
-    for line in lines[1:]:
-        key, _, value = line.decode("latin-1").partition(":")
-        headers[key.strip().lower()] = value.strip()
-    return status, headers, body
-
-
 class TestRoutes:
     """Every route against a fully-wired server on a daemon thread."""
 
@@ -98,6 +81,7 @@ class TestRoutes:
             alerts=engine,
             timeline=timeline,
             stats=lambda: {"policy": "lru", "requests": 7},
+            audit=lambda: {"mode": "belady", "window": 16},
             ready=lambda: state["ready"],
             name="test-plane",
         )
@@ -114,7 +98,8 @@ class TestRoutes:
         doc = json.loads(body)
         assert doc["name"] == "test-plane"
         assert doc["routes"] == [
-            "/alerts", "/health", "/metrics", "/ready", "/stats", "/timeline",
+            "/alerts", "/audit", "/health", "/metrics", "/ready", "/stats",
+            "/timeline",
         ]
 
     def test_metrics_prometheus_content_type(self, plane):
@@ -144,6 +129,13 @@ class TestRoutes:
         doc = json.loads(body)
         assert status == 200
         assert doc["enabled"] is True and doc["active"] == []
+
+    def test_audit_snapshot(self, plane):
+        addr, _ = plane
+        status, headers, body = _get(addr, "/audit")
+        assert status == 200
+        assert headers["Content-Type"].startswith("application/json")
+        assert json.loads(body) == {"mode": "belady", "window": 16}
 
     def test_timeline_overview_and_series(self, plane):
         addr, _ = plane
@@ -187,7 +179,7 @@ class TestUnwiredAndErrors:
         try:
             doc = json.loads(_get(addr, "/")[2])
             assert doc["routes"] == ["/health", "/ready"]
-            for path in ("/metrics", "/alerts", "/timeline", "/stats"):
+            for path in ("/metrics", "/alerts", "/audit", "/timeline", "/stats"):
                 assert _get(addr, path)[0] == 404
             # Without a ready provider /ready mirrors /health.
             assert _get(addr, "/ready")[0] == 200
@@ -288,24 +280,35 @@ class TestMalformedRequests:
 
 
 async def _serve_all(server, pages, batch=512):
+    """Serve *pages* over TCP, one batch line at a time; returns the
+    open connection's writer."""
     host, port = await server.start_tcp()
     reader, writer = await asyncio.open_connection(host, port)
-
-    async def ask(msg):
-        writer.write(json.dumps(msg).encode() + b"\n")
-        await writer.drain()
-        return json.loads(await reader.readline())
-
     for i in range(0, len(pages), batch):
-        resp = await ask({"op": "batch", "pages": pages[i : i + batch]})
-        assert resp["ok"]
-    return reader, writer, ask
+        line = {"op": "batch", "pages": pages[i : i + batch]}
+        writer.write(json.dumps(line).encode() + b"\n")
+        await writer.drain()
+        assert json.loads(await reader.readline())["ok"]
+    return writer
+
+
+async def _poll_alerts(host, port, rule, state, timeout=15.0):
+    """The first alert of *rule* in *state* at ``/alerts``, polled."""
+    for _ in range(int(timeout / 0.05)):
+        status, _, body = await http_get(host, port, "/alerts")
+        assert status == 200
+        doc = json.loads(body)
+        for alert in doc["active"] + doc["resolved"]:
+            if alert["rule"] == rule and alert["state"] == state:
+                return alert
+        await asyncio.sleep(0.05)
+    raise AssertionError(f"{rule} never reached {state}")
 
 
 class TestCacheServerIntegration:
     """The acceptance properties, end to end on a live server."""
 
-    def test_http_metrics_identical_to_tcp_scrape(self, trace, costs):
+    def test_http_metrics_match_simulate(self, trace, costs):
         async def scenario():
             server = CacheServer(
                 "alg-discrete", K, trace.owners, costs,
@@ -314,14 +317,11 @@ class TestCacheServerIntegration:
             await server.start()
             assert server.http_address is not None
             h, p = server.http_address
-            _, writer, ask = await _serve_all(server, trace.requests.tolist())
-            # Quiesced: no requests between the two scrapes.
-            tcp = (await ask({"op": "metrics"}))["metrics"]
-            status, headers, body = await _http_get(h, p, "/metrics")
+            writer = await _serve_all(server, trace.requests.tolist())
+            status, headers, body = await http_get(h, p, "/metrics")
             assert status == 200
             assert headers["content-type"] == PROMETHEUS_CONTENT_TYPE
             http_samples = parse_prometheus(body.decode())  # strict
-            assert http_samples == parse_prometheus(tcp)
             writer.close()
             await writer.wait_closed()
             await server.stop()
@@ -362,32 +362,32 @@ class TestCacheServerIntegration:
             assert "serve-invariant-drift" in rule_names
             await server.start()
             h, p = server.http_address
-            _, writer, _ = await _serve_all(server, trace.requests.tolist()[:512])
-            status, _, body = await _http_get(h, p, "/ready")
+            writer = await _serve_all(server, trace.requests.tolist()[:512])
+            status, _, body = await http_get(h, p, "/ready")
             assert status == 200 and json.loads(body)["ready"] is True
-            status, _, body = await _http_get(h, p, "/alerts")
+            status, _, body = await http_get(h, p, "/alerts")
             assert status == 200
             doc = json.loads(body)
             assert doc["enabled"] is True and doc["active"] == []
             # A crashed (draining) server reports not-ready while the
             # plane itself stays up.
             server._closed = True
-            status, _, body = await _http_get(h, p, "/ready")
+            status, _, body = await http_get(h, p, "/ready")
             assert status == 503 and json.loads(body)["ready"] is False
-            assert (await _http_get(h, p, "/health"))[0] == 200
+            assert (await http_get(h, p, "/health"))[0] == 200
             writer.close()
             await writer.wait_closed()
             await server.stop()
             # stop() closes the HTTP listener last.
             with pytest.raises(OSError):
-                await _http_get(h, p, "/ready")
+                await http_get(h, p, "/ready")
 
         run(scenario())
 
     def test_worker_crash_alert_fires_then_resolves(self, trace, costs):
         async def poll_alerts(h, p, pred, timeout=8.0):
             for _ in range(int(timeout / 0.05)):
-                doc = json.loads((await _http_get(h, p, "/alerts"))[2])
+                doc = json.loads((await http_get(h, p, "/alerts"))[2])
                 found = pred(doc)
                 if found is not None:
                     return found
@@ -416,7 +416,7 @@ class TestCacheServerIntegration:
             )
             await server.start()
             h, p = server.http_address
-            _, writer, _ = await _serve_all(server, trace.requests.tolist()[:512])
+            writer = await _serve_all(server, trace.requests.tolist()[:512])
             # Let the ticker establish a crashes=0 baseline, then lose
             # a worker: the rate rule must fire within one tick...
             await asyncio.sleep(0.15)
@@ -433,6 +433,108 @@ class TestCacheServerIntegration:
 
         run(scenario())
 
+    def test_killed_worker_fires_crash_alert_at_two_workers(
+        self, trace, costs, tmp_path
+    ):
+        """W=2 with the HTTP plane: ready while serving, ``/metrics``
+        per-tenant misses equal the in-process run of the same shard set
+        and no crash is counted; then a SIGKILL'd worker fires
+        ``serve-worker-crashed`` (critical), resolves on the next flat
+        tick, reports not-ready, and the alert sink records both
+        transitions."""
+        sink_path = str(tmp_path / "alerts.jsonl")
+
+        async def scenario():
+            obs = Observability.enabled(
+                timeline=Timeline(capacity=128, interval=0.05)
+            )
+            engine = AlertEngine(
+                obs.timeline, serve_rule_pack(),
+                sinks=[JsonlSink(sink_path)], enabled=True,
+            )
+            server = CacheServer(
+                "alg-discrete", K, trace.owners, costs, num_shards=4,
+                workers=2, obs=obs, alerts=engine, http_port=0,
+            )
+            await server.start()
+            h, p = server.http_address
+            pages = trace.requests.tolist()
+            writer = await _serve_all(server, pages, batch=250)
+            assert (await http_get(h, p, "/ready"))[0] == 200
+            status, _, body = await http_get(h, p, "/metrics")
+            assert status == 200
+            samples = parse_prometheus(body.decode())
+            writer.close()
+            await writer.wait_closed()
+            victim = server._pool._procs[0]
+            victim.kill()
+            victim.join(timeout=10)
+            with pytest.raises(ServerClosed):
+                await server.request_many(pages[:256])
+            fired = await _poll_alerts(
+                h, p, "serve-worker-crashed", FIRING
+            )
+            assert fired["severity"] == "critical"
+            await _poll_alerts(h, p, "serve-worker-crashed", RESOLVED)
+            assert (await http_get(h, p, "/ready"))[0] == 503
+            await server.stop()
+            engine.close()
+            return samples
+
+        samples = run(scenario())
+        ref = serve_trace(trace, "alg-discrete", K, costs, num_shards=4)
+        for i in range(NUM_USERS):
+            assert sample_value(
+                samples, "serve_tenant_misses_total", tenant=str(i)
+            ) == float(ref.user_misses[i])
+        assert sample_value(samples, "serve_worker_crashes_total") == 0.0
+        with open(sink_path, encoding="utf-8") as fh:
+            transitions = [
+                (e["rule"], e["state"]) for e in map(json.loads, fh)
+            ]
+        assert ("serve-worker-crashed", FIRING) in transitions
+        assert ("serve-worker-crashed", RESOLVED) in transitions
+
+    def test_injected_drift_fires_invariant_alert(self, trace, costs, tmp_path):
+        """An in-process server whose monitor records drift fires
+        ``serve-invariant-drift`` (critical) within a tick, at
+        ``/alerts`` and in the alert sink."""
+        sink_path = str(tmp_path / "drift.jsonl")
+
+        class BrokenPolicy:
+            evictions_by_user = [7, 0, 0, 0]
+
+        async def scenario():
+            obs = Observability.enabled(
+                timeline=Timeline(capacity=64, interval=0.05),
+                monitor=InvariantMonitor(costs),
+            )
+            engine = AlertEngine(
+                obs.timeline, serve_rule_pack(),
+                sinks=[JsonlSink(sink_path)], enabled=True,
+            )
+            server = CacheServer(
+                "alg-discrete", K, trace.owners, costs, num_shards=4,
+                obs=obs, alerts=engine, http_port=0,
+            )
+            await server.start()
+            h, p = server.http_address
+            await server.request_many(trace.requests[:1000].tolist())
+            await asyncio.sleep(0.15)  # clean baseline ticks
+            obs.monitor.sample(1001, [3, 0, 0, 0], policies=(BrokenPolicy(),))
+            assert not obs.monitor.ok
+            fired = await _poll_alerts(h, p, "serve-invariant-drift", FIRING)
+            assert fired["severity"] == "critical"
+            await server.stop()
+            engine.close()
+
+        run(scenario())
+        with open(sink_path, encoding="utf-8") as fh:
+            events = [json.loads(line) for line in fh]
+        assert ("serve-invariant-drift", FIRING) in [
+            (e["rule"], e["state"]) for e in events
+        ]
+
     def test_env_off_engine_disabled_over_http(self, trace, costs, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "off")
 
@@ -443,12 +545,12 @@ class TestCacheServerIntegration:
             )
             await server.start()
             h, p = server.http_address
-            _, writer, _ = await _serve_all(server, trace.requests.tolist()[:512])
-            doc = json.loads((await _http_get(h, p, "/alerts"))[2])
+            writer = await _serve_all(server, trace.requests.tolist()[:512])
+            doc = json.loads((await http_get(h, p, "/alerts"))[2])
             assert doc["enabled"] is False
             assert doc["evaluations"] == 0 and doc["active"] == []
             # Ground-truth scrape still works with obs off.
-            status, _, body = await _http_get(h, p, "/metrics")
+            status, _, body = await http_get(h, p, "/metrics")
             assert status == 200
             samples = parse_prometheus(body.decode())
             assert sample_value(samples, "serve_requests_total") == 512.0
@@ -469,14 +571,14 @@ class TestCacheServerIntegration:
             )
             await server.start()
             h, p = server.http_address
-            _, writer, _ = await _serve_all(server, trace.requests.tolist()[:512])
+            writer = await _serve_all(server, trace.requests.tolist()[:512])
             await asyncio.sleep(0.2)  # a few ticks
-            doc = json.loads((await _http_get(h, p, "/timeline"))[2])
+            doc = json.loads((await http_get(h, p, "/timeline"))[2])
             assert doc["len"] >= 2
             assert "serve_requests_total" in doc["names"]
             doc = json.loads(
                 (
-                    await _http_get(
+                    await http_get(
                         h, p, "/timeline?name=serve_requests_total"
                     )
                 )[2]

@@ -1,11 +1,11 @@
 """Telemetry wired through the serve and sim paths.
 
-The load-bearing acceptance property: the ``metrics`` TCP op returns
-Prometheus-parseable text whose per-tenant miss counters exactly match
-an offline ``simulate()`` of the same request sequence — with
-instrumentation fully on *and* fully off (``REPRO_OBS=off``), because
-the exposition reads ground-truth ledger state through scrape-time
-collectors, never hot-path instrumentation.
+The load-bearing acceptance property: after a TCP replay, the HTTP
+plane's ``/metrics`` is Prometheus-parseable text whose per-tenant miss
+counters exactly match an offline ``simulate()`` of the same request
+sequence — with instrumentation fully on *and* fully off
+(``REPRO_OBS=off``), because the exposition reads ground-truth ledger
+state through scrape-time collectors, never hot-path instrumentation.
 """
 
 from __future__ import annotations
@@ -20,11 +20,15 @@ import repro
 from repro.core.cost_functions import MonomialCost
 from repro.obs import (
     InvariantMonitor,
+    JsonlSink,
     ListSink,
     Observability,
     parse_prometheus,
+    read_jsonl,
     sample_value,
+    summarize_spans,
 )
+from repro.obs.httpd import http_get
 from repro.serve import CacheServer
 from repro.sim import simulate
 from repro.sim.driver import simulate_many
@@ -55,27 +59,34 @@ async def _roundtrip(reader, writer, msg):
 
 
 async def _drive(trace, costs, obs, policy="alg-discrete", **kw):
-    """Serve the whole trace over TCP, return (metrics text, stats list)."""
+    """Serve the whole trace over TCP and read the server over its HTTP
+    plane: returns (server, ``/metrics`` text, ``/stats`` after the
+    trace and again after 256 more requests)."""
     server = CacheServer(policy, K, trace.owners, costs, obs=obs, **kw)
     await server.start()
     host, port = await server.start_tcp()
+    http_host, http_port = await server.start_http()
     reader, writer = await asyncio.open_connection(host, port)
+
+    async def get(path):
+        status, _headers, body = await http_get(http_host, http_port, path)
+        assert status == 200, (path, status, body)
+        return body.decode()
+
     pages = trace.requests.tolist()
-    stats = []
     for i in range(0, len(pages), 512):
         resp = await _roundtrip(
             reader, writer, {"op": "batch", "pages": pages[i : i + 512]}
         )
         assert resp["ok"]
-    stats.append((await _roundtrip(reader, writer, {"op": "stats"}))["stats"])
-    resp = await _roundtrip(reader, writer, {"op": "metrics"})
-    assert resp["ok"]
+    stats = [json.loads(await get("/stats"))]
+    text = await get("/metrics")
     await _roundtrip(reader, writer, {"op": "batch", "pages": pages[:256]})
-    stats.append((await _roundtrip(reader, writer, {"op": "stats"}))["stats"])
+    stats.append(json.loads(await get("/stats")))
     writer.close()
     await writer.wait_closed()
     await server.stop()
-    return server, resp["metrics"], stats
+    return server, text, stats
 
 
 class TestMetricsOp:
@@ -203,17 +214,24 @@ class TestStatsRates:
 
 
 class TestServeTracing:
-    def test_pipeline_spans_emitted(self, trace, costs):
-        sink = ListSink()
-        server, _text, _ = run(
-            _drive(trace, costs, Observability.enabled(sink=sink))
-        )
-        names = {e["name"] for e in sink.events}
+    def test_pipeline_spans_emitted(self, trace, costs, tmp_path):
+        """The serve pipeline's spans, written to a JSONL trace file,
+        read back and aggregate."""
+        path = str(tmp_path / "trace.jsonl")
+        obs = Observability.enabled(sink=JsonlSink(path))
+        server, _text, _ = run(_drive(trace, costs, obs))
+        obs.tracer.close()
+        events = read_jsonl(path)
+        names = {e["name"] for e in events}
         assert {"serve.ingress", "serve.queue_wait", "serve.apply",
                 "serve.reply"} <= names
-        applies = [e for e in sink.events if e["name"] == "serve.apply"]
+        applies = [e for e in events if e["name"] == "serve.apply"]
         assert sum(e["attrs"]["n"] for e in applies) == trace.length + 256
-        assert all(e["dur"] >= 0 for e in sink.events if e["type"] == "span")
+        assert all(e["dur"] >= 0 for e in events if e["type"] == "span")
+        rows = summarize_spans(events)
+        assert {"serve.ingress", "serve.apply", "serve.reply"} <= {
+            row["name"] for row in rows
+        }
 
     def test_no_spans_without_sink(self, trace, costs):
         obs = Observability.enabled()  # metrics on, tracing off

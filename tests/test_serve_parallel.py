@@ -3,7 +3,7 @@
 A ``workers=2`` server over one shard clamps to the in-process path and
 matches ``simulate()``; at S=4, ``W`` in {2, 3, 4} serves the same
 per-tenant counters, total cost and merged flight window as ``W=1``;
-the ``request`` op (the detail path) answers the same at ``W=2``, where
+the ``request`` op (a batch of one) answers the same at ``W=2``, where
 worker 0 runs in the server process.
 """
 
@@ -33,9 +33,12 @@ async def _tcp_replay(workers, num_shards=1, obs=None):
     await server.start()
     try:
         host, port = await server.start_tcp()
-        stats = await replay_tcp(host, port, TRACE, batch=200)
+        totals = await replay_tcp(host, port, TRACE, batch=200)
     finally:
         await server.stop()
+    stats = server.stats()
+    assert totals["time"] == TRACE.length
+    assert (totals["hits"], totals["misses"]) == (stats["hits"], stats["misses"])
     return server, stats
 
 
@@ -85,8 +88,9 @@ def test_sharded_counters_and_flight_identical_at_any_worker_count(
 
 
 def test_request_op_through_worker_zero_matches_in_process():
-    """The TCP ``request`` op rides the pool's detail path; at W=2 the
-    shards of worker 0 are served in the server process."""
+    """The TCP ``request`` op is a batch of one, read ahead like a
+    ``batch`` line; at W=2 the shards of worker 0 are served in the
+    server process."""
     pages = TRACE.requests[:600].tolist()
 
     async def run(workers):

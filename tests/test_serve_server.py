@@ -25,6 +25,7 @@ from repro.serve import (
     page_hash,
     replay_tcp,
 )
+from repro.serve.server import _read_line
 from repro.serve.shard import shard_slots, shard_table
 from repro.sim import Trace, simulate
 from repro.workloads.builders import random_multi_tenant_trace, zipf_trace
@@ -163,7 +164,8 @@ class TestServerLifecycle:
                 await server.request(0)
             await server.start()
             out = await server.request(0)
-            assert not out.hit and out.t == 0 and out.victim is None
+            assert not out.hit and out.t == 0 and out.tenant == 0
+            assert out.shard == server.shards.shard_of(0)
             await server.stop()
             with pytest.raises(ServerClosed):
                 await server.request(0)
@@ -300,7 +302,8 @@ class TestTcpFrontEnd:
             server = CacheServer("lru", 48, trace.owners, costs)
             await server.start()
             host, port = await server.start_tcp()
-            stats = await replay_tcp(host, port, trace, batch=100)
+            totals = await replay_tcp(host, port, trace, batch=100)
+            stats = server.stats()
 
             reader, writer = await asyncio.open_connection(host, port)
 
@@ -310,8 +313,13 @@ class TestTcpFrontEnd:
                 return json.loads(await reader.readline())
 
             single = await ask({"op": "request", "page": 0})
-            quote = await ask({"op": "quote", "tenant": 1})
             ping = await ask({"op": "ping"})
+            # Reads are served over HTTP only: the old read ops are
+            # unknown on TCP.
+            reads = [
+                await ask({"op": op})
+                for op in ("stats", "metrics", "audit", "quote", "alerts")
+            ]
             bad_op = await ask({"op": "warp"})
             bad_page = await ask({"op": "request", "page": 10**9})
             batch_detail = await ask(
@@ -325,8 +333,8 @@ class TestTcpFrontEnd:
             for line in (
                 b"[]", b"7", b"null", b'"x"',
                 b'{"op": "batch", "pages": [1e400]}',
-                b'{"op": "quote", "tenant": -1}',
-                b'{"op": "quote", "tenant": true}',
+                b'{"op": "batch"}',
+                b'{"op": "request"}',
                 b'{"op": "batch", "pages": {"1": 2}}',
                 b'{"op": "batch", "pages": [true, 2.7]}',
                 b'{"op": "batch", "pages": ["7"]}',
@@ -342,20 +350,25 @@ class TestTcpFrontEnd:
             await writer.wait_closed()
             await server.stop()
             return (
-                stats, single, quote, ping, bad_op, bad_page, batch_detail,
-                not_objects,
+                totals, stats, single, ping, reads, bad_op, bad_page,
+                batch_detail, not_objects,
             )
 
         (
-            stats, single, quote, ping, bad_op, bad_page, batch_detail,
-            not_objects,
+            totals, stats, single, ping, reads, bad_op, bad_page,
+            batch_detail, not_objects,
         ) = run(scenario())
         sim = simulate(trace, POLICY_REGISTRY["lru"](), 48, costs=costs)
         assert stats["hits"] == sim.hits and stats["misses"] == sim.misses
-        assert stats["client_hits"] == sim.hits
+        assert totals == {
+            "requests": trace.length, "hits": sim.hits, "misses": sim.misses,
+            "time": trace.length,
+        }
         assert single["ok"] and single["tenant"] == 0
-        assert quote["ok"] and quote["marginal_quote"] > 0
+        assert single["t"] == trace.length
         assert ping["ok"] and ping["time"] > trace.length
+        for op, reply in zip(("stats", "metrics", "audit", "quote", "alerts"), reads):
+            assert reply == {"ok": False, "error": f"unknown op {op!r}"}
         assert not bad_op["ok"] and "unknown op" in bad_op["error"]
         assert not bad_page["ok"]
         assert batch_detail["ok"] and len(batch_detail["hit_flags"]) == 3
@@ -375,15 +388,16 @@ class TestTcpFrontEnd:
             server = CacheServer("alg-discrete", 64, trace.owners, costs)
             await server.start()
             host, port = await server.start_tcp()
-            stats = await replay_tcp(host, port, trace, batch=200)
+            totals = await replay_tcp(host, port, trace, batch=200)
+            stats = server.stats()
             await server.stop()
-            return stats
+            return totals, stats
 
-        stats = run(smoke())
+        totals, stats = run(smoke())
         sim = simulate(trace, POLICY_REGISTRY["alg-discrete"](), 64, costs=costs)
         assert stats["hits"] == sim.hits, (stats["hits"], sim.hits)
         assert stats["misses"] == sim.misses
-        assert stats["client_hits"] == sim.hits
+        assert totals["hits"] == sim.hits and totals["misses"] == sim.misses
         assert stats["queue_depth"] == 0
         assert [row["misses"] for row in stats["tenants"]] == (
             sim.user_misses.tolist()
@@ -412,22 +426,39 @@ def batch_line(pages) -> bytes:
 class TestReadAhead:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_replies_in_line_order_after_half_close(self, workers):
-        """N batch lines, a malformed line, a request and a stats line,
-        written before any reply is read and followed by a half-close:
-        N + 3 replies come back in line order, the batches with
-        contiguous clocks and the hits of ``simulate()`` per shard, the
-        error in place, and stats counting every batch ahead of it.  A
-        second connection of N batch lines alone, then a half-close,
-        gets its N replies too: EOF does not drop replies still owed."""
+        """N batch lines with request lines among them, a malformed line
+        and a ping, written before any reply is read and followed by a
+        half-close: every line is answered in line order — batches and
+        requests with contiguous clocks and the hits of ``simulate()``
+        per shard, each request with its page's tenant and shard, the
+        error in place, and the ping's clock counting every request
+        ahead of it.  A second connection of N batch lines alone, then a
+        half-close, gets its N replies too: EOF does not drop replies
+        still owed."""
         n, size = 16, 128
         trace = random_multi_tenant_trace(3, 40, 2 * n * size, seed=4)
-        # The stream as served: the request for page 0 lands between
-        # the two connections' batches.
-        served = np.insert(trace.requests, n * size, 0)
-        want = sharded_hits(Trace(served, trace.owners), "lru", 48, 2)
-        lines = [
+        # Batch index -> the page of a request line sent right after it
+        # (page 7 twice: the second is a hit).
+        requests_after = {1: 0, 4: 7, 5: 7, 10: 119, 15: 64}
+        first_lines, expect, served = [], [], []
+        for i in range(n):
+            pages = trace.requests[i * size : (i + 1) * size]
+            first_lines.append(batch_line(pages))
+            expect.append(None)
+            served.extend(pages.tolist())
+            if i in requests_after:
+                page = requests_after[i]
+                first_lines.append(
+                    json.dumps({"op": "request", "page": page}).encode() + b"\n"
+                )
+                expect.append(page)
+                served.append(page)
+        served.extend(trace.requests[n * size :].tolist())
+        want = sharded_hits(Trace(np.array(served), trace.owners), "lru", 48, 2)
+        shard_of = shard_table(trace.num_pages, 2)
+        second_lines = [
             batch_line(trace.requests[i * size : (i + 1) * size])
-            for i in range(2 * n)
+            for i in range(n, 2 * n)
         ]
 
         async def half_close(host, port, payload):
@@ -446,27 +477,107 @@ class TestReadAhead:
             )
             await server.start()
             host, port = await server.start_tcp()
-            first = await half_close(host, port, b"".join(lines[:n] + [
-                b"{not json\n", b'{"op": "request", "page": 0}\n',
-                b'{"op": "stats"}\n',
+            first = await half_close(host, port, b"".join(first_lines + [
+                b"{not json\n", b'{"op": "ping"}\n',
             ]))
-            second = await half_close(host, port, b"".join(lines[n:]))
+            second = await half_close(host, port, b"".join(second_lines))
             await server.stop()
             return server, first, second
 
         server, first, second = run(scenario())
         assert server.workers == workers
-        assert len(first) == n + 3
+        assert len(first) == len(expect) + 2
         assert len(second) == n
-        for i, reply in enumerate(first[:n] + second):
-            t0 = i * size + (i >= n)  # the request took one clock tick
-            assert reply["ok"] and reply["t0"] == t0
-            assert reply["hits"] == int(want[t0 : t0 + size].sum())
-        malformed, single, stats = first[n:]
+        t = 0
+        for page, reply in zip(expect + [None] * n, first[: len(expect)] + second):
+            if page is None:
+                assert reply["ok"] and reply["t0"] == t
+                assert reply["hits"] == int(want[t : t + size].sum())
+                t += size
+            else:
+                assert reply == {
+                    "ok": True, "hit": bool(want[t]),
+                    "tenant": int(trace.owners[page]), "t": t,
+                    "shard": int(shard_of[page]),
+                }
+                t += 1
+        assert t == len(served)
+        malformed, ping = first[len(expect) :]
         assert not malformed["ok"] and "JSONDecodeError" in malformed["error"]
-        assert single["ok"] and single["t"] == n * size
-        assert stats["ok"] and stats["stats"]["time"] == n * size + 1
-        assert stats["stats"]["requests"] == n * size + 1
+        assert ping == {"ok": True, "time": n * size + len(requests_after)}
+        stats = server.stats()
+        assert stats["time"] == stats["requests"] == len(served)
+        assert stats["hits"] == int(want.sum())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_line_past_the_limit_gets_an_error_reply(self, workers):
+        """Four lines pipelined without reading: a batch, a 20,000-page
+        batch line past the reader's 64 KiB limit, another batch and a
+        ping.  The replies come back in line order — ok, an error naming
+        the limit, ok, the ping — and the clock counts only the two
+        served batches."""
+        trace = random_multi_tenant_trace(4, 5_000, 20_000, seed=3)
+        too_long = batch_line(trace.requests)
+        assert len(too_long) > 2**16
+        lines = [
+            batch_line(trace.requests[:100]),
+            too_long,
+            batch_line(trace.requests[100:300]),
+            b'{"op": "ping"}\n',
+        ]
+
+        async def scenario():
+            server = CacheServer(
+                "lru", 64, trace.owners, num_shards=2, workers=workers
+            )
+            await server.start()
+            host, port = await server.start_tcp()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(lines))
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in lines]
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            return server, replies
+
+        server, (first, error, second, ping) = run(scenario())
+        assert server.workers == workers
+        assert first["ok"] and first["t0"] == 0
+        assert error == {"ok": False, "error": "line longer than 65536 bytes"}
+        assert second["ok"] and second["t0"] == 100
+        assert ping == {"ok": True, "time": 300}
+        assert server.stats()["requests"] == 300
+
+    def test_line_reader_discards_only_the_over_long_line(self):
+        """Both ways a line overruns the limit: with its newline already
+        buffered, and arriving in pieces past it.  Each reads as
+        ``None`` and the next line is the one after it."""
+
+        async def scenario():
+            whole = asyncio.StreamReader(limit=16)
+            whole.feed_data(b"a" * 40 + b"\nnext\n" + b"tail")
+            whole.feed_eof()
+            pieces = asyncio.StreamReader(limit=16)
+
+            async def feed():
+                for _ in range(5):
+                    pieces.feed_data(b"b" * 10)
+                    await asyncio.sleep(0)
+                pieces.feed_data(b"b\nnext\n")
+                pieces.feed_data(b"c" * 30)
+                pieces.feed_eof()
+
+            feeder = asyncio.ensure_future(feed())
+            got = [await _read_line(whole) for _ in range(4)]
+            got += [await _read_line(pieces) for _ in range(4)]
+            await feeder
+            return got
+
+        assert run(scenario()) == [
+            None, b"next\n", b"tail", b"",
+            None, b"next\n", None, b"",
+        ]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_client_vanishing_with_batches_in_flight(self, workers):
@@ -513,9 +624,10 @@ class TestReadAhead:
             await server.drain()
             served = server.time
             first = [row["misses"] for row in server.stats()["tenants"]]
-            final = await replay_tcp(
+            await replay_tcp(
                 host, port, Trace(trace.requests[served:], trace.owners)
             )
+            final = server.stats()
             await server.stop()
             gc.collect()
             return errors, served, first, final

@@ -185,28 +185,6 @@ def test_pool_server_lifecycle_leaves_no_tracker_warnings():
     assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
-def test_pool_detail_path_matches_batch_path():
-    trace = zipf_trace(150, 1200, skew=1.2, seed=3)
-    costs = [MonomialCost(2)] * trace.num_users
-    pool_a = make_pool(trace, costs, workers=2)
-    pool_b = make_pool(trace, costs, workers=2)
-    try:
-        flags = drive(pool_a, trace, batch=97)
-        details = []
-        for t0 in range(0, trace.length, 97):
-            chunk = trace.requests[t0 : t0 + 97]
-            details.extend(pool_b.apply_detail(chunk, t0))
-        assert [bool(f) for f in flags] == [hit for hit, _v, _s in details]
-        # Each page's shard lives on the worker the routing table says.
-        wid_of = pool_a.route(trace.requests)
-        for (hit, victim, sid), wid in zip(details, wid_of):
-            assert sid % pool_a.num_workers == wid
-            assert victim is None or not hit
-    finally:
-        pool_a.close()
-        pool_b.close()
-
-
 def test_pool_snapshot_merges_to_single_ledger():
     """The pool snapshot's ledger — every worker's slice merged with
     ``CostLedger.merge`` — is exactly the ledger a single-process
