@@ -9,14 +9,13 @@ table.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.util.rng import derive_seed
+from repro.util.grid import map_cells, seeded_product
 from repro.util.validation import check_positive_int
 
 CellFn = Callable[..., Dict[str, object]]
@@ -72,8 +71,9 @@ class SweepResult:
         return [row[name] for row in self.rows]
 
 
-def _invoke_cell(cell: CellFn, kwargs: Dict[str, object]) -> Dict[str, object]:
+def _invoke_cell(job: Tuple[CellFn, Dict[str, object]]) -> Dict[str, object]:
     """Top-level helper so worker processes can unpickle the call."""
+    cell, kwargs = job
     return cell(**kwargs)
 
 
@@ -106,30 +106,19 @@ def run_sweep(
     result = SweepResult(grid_keys=tuple(keys))
 
     jobs: List[Tuple[Dict[str, object], Dict[str, object]]] = []
-    cell_index = 0
-    for combo in itertools.product(*(grid[k] for k in keys)):
+    for seed, (*combo, rep) in seeded_product(
+        base_seed, *(grid[k] for k in keys), range(replicates)
+    ):
         params = dict(zip(keys, combo))
-        for rep in range(replicates):
-            seed = derive_seed(base_seed, cell_index)
-            cell_index += 1
-            kwargs = dict(params)
-            merged = dict(params)
-            if include_seed:
-                kwargs["seed"] = seed
-                merged["seed"] = seed
-            merged["replicate"] = rep
-            jobs.append((kwargs, merged))
+        kwargs = dict(params)
+        merged = dict(params)
+        if include_seed:
+            kwargs["seed"] = seed
+            merged["seed"] = seed
+        merged["replicate"] = rep
+        jobs.append((kwargs, merged))
 
-    if workers is None:
-        outputs = [cell(**kwargs) for kwargs, _m in jobs]
-    else:
-        workers = check_positive_int(workers, "workers")
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(
-                pool.map(_invoke_cell, [cell] * len(jobs), [kw for kw, _m in jobs])
-            )
+    outputs = map_cells(_invoke_cell, [(cell, kw) for kw, _m in jobs], workers)
 
     for (_kwargs, merged), row in zip(jobs, outputs):
         merged = dict(merged)

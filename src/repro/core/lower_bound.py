@@ -82,21 +82,12 @@ class AdaptiveAdversary:
         owners = np.arange(n, dtype=np.int64)  # page i owned by user i
         if policy.requires_future:
             raise ValueError("the adversary only makes sense against online policies")
-        if policy.requires_costs and costs is None:
-            raise ValueError(f"{policy.name} requires cost functions")
-
-        ctx = SimContext(
-            k=k,
-            owners=owners,
-            num_users=n,
-            costs=costs,
-            trace=None,
-            num_pages=n,
-            horizon=T,
+        state = CacheState(
+            policy,
+            SimContext(
+                k=k, owners=owners, num_users=n, costs=costs, num_pages=n, horizon=T
+            ),
         )
-        policy.reset(ctx)
-
-        state = CacheState(policy, k, n)
         requests: List[int] = []
         for t in range(T):
             # The smallest non-resident page: 0, 1, ... while the cache

@@ -31,7 +31,7 @@ from typing import Dict, List
 from repro.analysis.report import ascii_table
 from repro.core.cost_functions import MonomialCost, ScaledCost
 from repro.experiments.base import ExperimentOutput
-from repro.policies import POLICY_REGISTRY
+from repro.policies import make_policy
 from repro.serve import serve_trace
 from repro.sim import simulate, total_cost
 from repro.workloads.builders import TenantSpec, multi_tenant_trace
@@ -73,7 +73,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentOutput:
     sim_cost: Dict[str, float] = {}
 
     for name in SERVED:
-        sim = simulate(trace, POLICY_REGISTRY[name](), k, costs=costs)
+        sim = simulate(trace, make_policy(name), k, costs=costs)
         sim_cost[name] = total_cost(sim, costs)
         for shards in SHARD_COUNTS:
             report = serve_trace(

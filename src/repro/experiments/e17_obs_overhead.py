@@ -51,7 +51,7 @@ from repro.obs import (
     sample_value,
     watch_simulation,
 )
-from repro.policies import POLICY_REGISTRY
+from repro.policies import make_policy
 from repro.serve import CacheServer
 from repro.sim import simulate
 from repro.workloads.builders import random_multi_tenant_trace
@@ -85,7 +85,7 @@ def _scrape_serve(trace, costs, k, obs):
 
 
 def _sim_seconds(trace, k, costs, obs):
-    policy = POLICY_REGISTRY["lru"]()
+    policy = make_policy("lru")
     t0 = time.perf_counter()
     simulate(
         trace, policy, k, costs=costs, validate=False, engine="fast", obs=obs,
@@ -123,12 +123,12 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentOutput:
     rows: List[Dict[str, object]] = []
 
     # 1. Heisenberg check: full telemetry on vs. off, same results.
-    ref = simulate(trace, POLICY_REGISTRY["alg-discrete"](), k, costs=costs)
+    ref = simulate(trace, make_policy("alg-discrete"), k, costs=costs)
     obs_on = Observability.enabled(
         sink=ListSink(), monitor=InvariantMonitor(costs)
     )
     traced = simulate(
-        trace, POLICY_REGISTRY["alg-discrete"](), k, costs=costs, obs=obs_on
+        trace, make_policy("alg-discrete"), k, costs=costs, obs=obs_on
     )
     sim_identical = (
         traced.misses == ref.misses
@@ -164,7 +164,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentOutput:
         )
 
     # 3. Drift monitoring: clean live run, then an injected violation.
-    policy = POLICY_REGISTRY["alg-discrete"]()
+    policy = make_policy("alg-discrete")
     watched = watch_simulation(trace, policy, k, costs, every=500)
     monitor = watched.monitor
     clean = monitor.ok and len(monitor.samples) > 0

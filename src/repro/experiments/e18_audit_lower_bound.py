@@ -33,6 +33,7 @@ above the floor, and rise with *n*; every Theorem 1.1 gauge holds.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 from repro.analysis.bounds import theorem_1_4_floor
@@ -45,7 +46,7 @@ from repro.core.lower_bound import (
 from repro.experiments.base import ExperimentOutput
 from repro.obs import CompetitiveAuditor
 from repro.obs.monitor import watch_simulation
-from repro.policies import POLICY_REGISTRY
+from repro.policies import make_policy
 
 EXPERIMENT_ID = "e18"
 TITLE = "Live audit of the §4 lower bound: streamed ratio vs. (k/4)^beta"
@@ -70,7 +71,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentOutput:
     bound_held = True
 
     for policy_name in POLICIES:
-        factory = POLICY_REGISTRY[policy_name]
+        factory = partial(make_policy, policy_name)
         prev_ratio = 0.0
         for n in ns:
             k = n - 1

@@ -45,7 +45,7 @@ from repro.core.cost_functions import MonomialCost
 from repro.core.lower_bound import AdaptiveAdversary, lower_bound_costs
 from repro.experiments.base import ExperimentOutput
 from repro.net import path_topology, simulate_network, single_node_topology
-from repro.policies import POLICY_REGISTRY
+from repro.policies import make_policy
 from repro.workloads import zipf_trace
 
 EXPERIMENT_ID = "e19"
@@ -129,7 +129,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentOutput:
     # total capacity, then replayed through both arrangements.
     adv_k = adv_n - 1
     adv = AdaptiveAdversary(adv_n, 40 * adv_n).run(
-        POLICY_REGISTRY[POLICY]()
+        make_policy(POLICY)
     )
     adv_costs = lower_bound_costs(adv_n, BETA)
     per_level = [adv_k // DEPTH] * DEPTH

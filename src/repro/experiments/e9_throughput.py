@@ -24,7 +24,7 @@ from repro.analysis.report import ascii_bars, ascii_table
 from repro.core.alg_discrete import AlgDiscrete
 from repro.core.cost_functions import MonomialCost
 from repro.experiments.base import ExperimentOutput
-from repro.policies import POLICY_REGISTRY
+from repro.policies import make_policy
 from repro.sim.engine import simulate
 from repro.workloads.builders import zipf_trace
 
@@ -50,7 +50,7 @@ ENGINE_COMPARED = ("alg-discrete", "lru", "fifo", "greedydual")
 
 
 def _rps(trace, name: str, k: int, costs, engine: str) -> float:
-    policy = POLICY_REGISTRY[name]()
+    policy = make_policy(name)
     start = time.perf_counter()
     simulate(trace, policy, k, costs=costs, validate=False, engine=engine)
     return len(trace.requests) / (time.perf_counter() - start)
@@ -65,7 +65,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentOutput:
 
     rows: List[Dict[str, object]] = []
     for name in TIMED:
-        policy = POLICY_REGISTRY[name]()
+        policy = make_policy(name)
         start = time.perf_counter()
         result = simulate(trace, policy, k, costs=costs, validate=False)
         elapsed = time.perf_counter() - start

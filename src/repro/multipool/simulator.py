@@ -4,7 +4,9 @@ epoch-boundary migrations.
 Each pool runs its own instance of an eviction policy (by default the
 paper's ALG-DISCRETE, so the single-pool guarantees apply within each
 pool); a migration flushes the user's resident pages from the old pool
-and re-routes its future requests to the new one.
+and re-routes its future requests to the new one.  The pools are
+kernel cache states fed through a page → pool table
+(:func:`~repro.sim.engine.serve_routed`), one epoch per call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.core.alg_discrete import AlgDiscrete
 from repro.core.cost_functions import CostFunction
 from repro.multipool.assignment import AssignmentStrategy
 from repro.multipool.model import MultiPoolResult, PoolSystem
-from repro.sim.engine import CacheState
+from repro.sim.engine import CacheState, serve_routed
 from repro.sim.policy import EvictionPolicy, SimContext
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
@@ -50,15 +52,7 @@ def simulate_multipool(
     """
     epoch_length = check_positive_int(epoch_length, "epoch_length")
     n = trace.num_users
-    if len(costs) < n:
-        raise ValueError(f"need {n} cost functions, got {len(costs)}")
-
-    page_counts = np.bincount(trace.owners, minlength=n)
-    assignment = np.asarray(
-        strategy.initial(system, n, page_counts, costs), dtype=np.int64
-    ).copy()
-    if assignment.size != n or assignment.min() < 0 or assignment.max() >= system.num_pools:
-        raise ValueError("strategy returned an invalid assignment")
+    owners = trace.owners
 
     # One kernel cache state per pool. Policies see the full owner/cost
     # tables; they only ever meet pages routed to their pool.
@@ -69,65 +63,66 @@ def simulate_multipool(
             raise ValueError("multi-pool simulation supports online policies only")
         ctx = SimContext(
             k=int(system.capacities[p]),
-            owners=trace.owners,
+            owners=owners,
             num_users=n,
-            costs=costs if policy.requires_costs else costs,
-            trace=None,
+            costs=costs,
             num_pages=trace.num_pages,
             horizon=trace.length,
         )
-        policy.reset(ctx)
-        pools.append(CacheState(policy, ctx.k, trace.num_pages, label=f"pool {p} policy"))
+        pools.append(CacheState(policy, ctx, label=f"pool {p} policy"))
+
+    page_counts = np.bincount(owners, minlength=n)
+    assignment = np.asarray(
+        strategy.initial(system, n, page_counts, costs), dtype=np.int64
+    ).copy()
+    if assignment.size != n or assignment.min() < 0 or assignment.max() >= system.num_pools:
+        raise ValueError("strategy returned an invalid assignment")
 
     user_misses = np.zeros(n, dtype=np.int64)
-    epoch_misses = np.zeros(n, dtype=np.int64)
     per_pool_misses = np.zeros(system.num_pools, dtype=np.int64)
-    resident_by_user = np.zeros(n, dtype=np.int64)
     migrations = 0
-
-    owners = trace.owners
+    table = assignment[owners]
+    at = table.tolist()
     requests = trace.requests
-    for t in range(requests.size):
-        page = int(requests[t])
-        user = int(owners[page])
-        pool = int(assignment[user])
-        cache = pools[pool]
-        if cache.res[page]:
-            cache.policy.on_hit(page, t)
-        else:
-            user_misses[user] += 1
-            epoch_misses[user] += 1
-            per_pool_misses[pool] += 1
-            victim = cache.admit(page, t)
-            resident_by_user[user] += 1
-            if victim is not None:
-                resident_by_user[int(owners[victim])] -= 1
-
+    for lo in range(0, requests.size, epoch_length):
+        pages = requests[lo : lo + epoch_length]
+        missed = serve_routed(pools, table, at, pages, range(lo, lo + pages.size))
+        missed_pages = pages[missed]
+        epoch_misses = np.bincount(owners[missed_pages], minlength=n)
+        user_misses += epoch_misses
+        per_pool_misses += np.bincount(
+            table[missed_pages], minlength=system.num_pools
+        )
+        if pages.size < epoch_length:
+            break
         # Epoch boundary: offer the strategy one migration.
-        if (t + 1) % epoch_length == 0:
-            move = strategy.rebalance(
-                system,
-                assignment,
-                epoch_misses,
-                user_misses,
-                costs,
-                resident_by_user=resident_by_user,
-            )
-            if move is not None:
-                mig_user, new_pool = move
-                old_pool = int(assignment[mig_user])
-                if not (0 <= new_pool < system.num_pools):
-                    raise ValueError(f"strategy chose invalid pool {new_pool}")
-                if new_pool != old_pool:
-                    # Flush the user's resident pages from the old pool.
-                    old_cache = pools[old_pool]
-                    for resident in old_cache.resident():
-                        if int(owners[resident]) == mig_user:
-                            old_cache.flush(resident, t)
-                            resident_by_user[mig_user] -= 1
-                    assignment[mig_user] = new_pool
-                    migrations += 1
-            epoch_misses[:] = 0
+        t = lo + epoch_length - 1
+        resident_by_user = sum(
+            np.bincount(owners[pool.res_arr], minlength=n) for pool in pools
+        )
+        move = strategy.rebalance(
+            system,
+            assignment,
+            epoch_misses,
+            user_misses,
+            costs,
+            resident_by_user=resident_by_user,
+        )
+        if move is not None:
+            mig_user, new_pool = move
+            old_pool = int(assignment[mig_user])
+            if not (0 <= new_pool < system.num_pools):
+                raise ValueError(f"strategy chose invalid pool {new_pool}")
+            if new_pool != old_pool:
+                # Flush the user's resident pages from the old pool.
+                old_cache = pools[old_pool]
+                for resident in old_cache.resident():
+                    if int(owners[resident]) == mig_user:
+                        old_cache.flush(resident, t)
+                assignment[mig_user] = new_pool
+                table = assignment[owners]
+                at = table.tolist()
+                migrations += 1
 
     return MultiPoolResult(
         assignment_name=strategy.name,

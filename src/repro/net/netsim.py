@@ -58,7 +58,6 @@ Registry metrics are per-node labelled (``net_node_hits_total{node=}``
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -77,10 +76,11 @@ from repro.net.strategies import (
 from repro.net.topology import Topology
 from repro.obs import Observability, default_observability
 from repro.obs.flight import FlightRecorder
+from repro.policies import make_policy
 from repro.sim.engine import CacheState
 from repro.sim.policy import EvictionPolicy, SimContext
-from repro.sim.trace import DEFAULT_BATCH, Trace
-from repro.util.rng import derive_seed
+from repro.sim.trace import DEFAULT_BATCH
+from repro.util.grid import map_cells, seeded_product
 from repro.util.validation import check_positive_int
 
 #: Ingress assignment modes (besides an explicit callable).
@@ -112,18 +112,17 @@ class _NodeState(CacheState):
         self,
         node_id: int,
         name: str,
-        k: int,
         policy: EvictionPolicy,
-        num_pages: int,
-        num_users: int,
+        ctx: SimContext,
         uplink_write_delay: float,
         queue_capacity: Optional[int],
         drain_rate: float,
         validate: bool,
     ) -> None:
         super().__init__(
-            policy, k, num_pages, validate=validate, label=f"{policy.name}@{name}"
+            policy, ctx, validate=validate, label=f"{policy.name}@{name}"
         )
+        num_users = ctx.num_users
         self.node_id = node_id
         self.name = name
         self.on_hit = policy.on_hit
@@ -160,12 +159,12 @@ class _NodeState(CacheState):
             self.queue_peak = q
         return True
 
-    def stats(self, policy_name: str) -> NodeStats:
+    def stats(self) -> NodeStats:
         return NodeStats(
             node_id=self.node_id,
             name=self.name,
             k=self.k,
-            policy=policy_name,
+            policy=self.policy.name,
             hits=sum(self.tenant_hits),
             misses=sum(self.tenant_misses),
             rejected=sum(self.tenant_rejected),
@@ -314,23 +313,9 @@ class NetworkSim:
         self.alerts = alerts
 
     # ------------------------------------------------------------------
-    def _build_policy(self, spec: PolicySpec, node_id: int) -> EvictionPolicy:
-        from repro.serve.shard import make_policy_instance
-
-        if isinstance(spec, str):
-            from repro.policies import POLICY_REGISTRY
-
-            try:
-                factory: Callable[..., EvictionPolicy] = POLICY_REGISTRY[spec]
-            except KeyError:
-                known = ", ".join(sorted(POLICY_REGISTRY))
-                raise KeyError(
-                    f"unknown policy {spec!r}; known: {known}"
-                ) from None
-        else:
-            factory = spec
-        seed = None if self.policy_seed is None else self.policy_seed + node_id
-        return make_policy_instance(factory, seed)
+    def _node_seed(self, node_id: int) -> Optional[int]:
+        """Node *v*'s policy seed: ``policy_seed + v``."""
+        return None if self.policy_seed is None else self.policy_seed + node_id
 
     def _ingress(
         self, num_pages: int, owners: np.ndarray
@@ -494,51 +479,35 @@ class NetworkSim:
         horizon = trace.length
 
         cache_nodes = topo.cache_nodes
-        multi = len(cache_nodes) > 1
         states: Dict[int, _NodeState] = {}
-        instances: Dict[int, EvictionPolicy] = {}
         for spec in cache_nodes:
-            inst = self._build_policy(spec.policy or self.policy_spec, spec.node_id)
-            if inst.requires_costs and self.costs is None:
-                raise ValueError(f"{inst.name} requires cost functions")
-            if inst.requires_future:
-                if multi:
-                    raise ValueError(
-                        f"{inst.name} is offline (requires_future); offline "
-                        f"policies only run on single-node topologies"
-                    )
-                if not isinstance(trace, Trace):
-                    raise ValueError(
-                        f"{inst.name} needs the materialized trace; "
-                        f"materialize() the reader first"
-                    )
+            inst = make_policy(
+                spec.policy or self.policy_spec, self._node_seed(spec.node_id)
+            )
+            if inst.requires_future and len(cache_nodes) > 1:
+                raise ValueError(
+                    f"{inst.name} is offline (requires_future); offline "
+                    f"policies only run on single-node topologies"
+                )
             ctx = SimContext(
                 k=spec.k,
                 owners=owners,
                 num_users=num_users,
                 costs=self.costs,
-                trace=trace if inst.requires_future else None,
+                trace=trace,
                 num_pages=num_pages,
                 horizon=horizon,
             )
-            inst.reset(ctx)
-            instances[spec.node_id] = inst
             up = topo.uplink(spec.node_id)
             states[spec.node_id] = _NodeState(
                 spec.node_id,
                 spec.name,
-                spec.k,
                 inst,
-                num_pages,
-                num_users,
+                ctx,
                 up.write_delay if up is not None else 0.0,
                 spec.queue_capacity,
                 spec.drain_rate,
                 self.validate,
-            )
-        if self.costs is not None and len(self.costs) < num_users:
-            raise ValueError(
-                f"need {num_users} cost functions, got {len(self.costs)}"
             )
 
         self.flights = {}
@@ -547,17 +516,13 @@ class NetworkSim:
                 st = states[spec.node_id]
                 fl = FlightRecorder(capacity=self.flight_capacity)
                 fl.note_config(
-                    policy=instances[spec.node_id].name,
+                    policy=st.policy.name,
                     k=spec.k,
                     num_shards=1,
                     source=f"net:{spec.name}",
                     trace=getattr(trace, "name", "trace"),
                     dense=False,
-                    policy_seed=(
-                        None
-                        if self.policy_seed is None
-                        else self.policy_seed + spec.node_id
-                    ),
+                    policy_seed=self._node_seed(spec.node_id),
                 )
                 st.attach_flight(fl, owners_l)
                 self.flights[spec.node_id] = fl
@@ -687,10 +652,7 @@ class NetworkSim:
 
         for counts, j, delay in first:
             latency.add(2.0 * delay, counts[j])
-        node_stats = [
-            states[spec.node_id].stats(instances[spec.node_id].name)
-            for spec in cache_nodes
-        ]
+        node_stats = [states[spec.node_id].stats() for spec in cache_nodes]
         return NetResult(
             topology_repr=repr(topo),
             strategy=strategy.name,
@@ -813,42 +775,27 @@ def network_many(
         raise ValueError("strategies must be non-empty")
     if not traces:
         raise ValueError("traces must be non-empty")
-    from repro.sim.driver import costs_per_trace
+    from repro.sim.driver import costs_per_trace, policy_label
 
     per_trace = costs_per_trace(costs, traces)
-
-    jobs: List[Tuple] = []
-    meta: List[Tuple[int, str, int, int]] = []
-    for cell_index, (ti, strategy, xi) in enumerate(
-        itertools.product(range(len(topologies)), strategies, range(len(traces)))
-    ):
-        seed = derive_seed(base_seed, cell_index)
-        meta.append((ti, strategy, xi, seed))
-        jobs.append(
-            (
-                topologies[ti],
-                strategy,
-                traces[xi],
-                policy,
-                per_trace[xi],
-                routing,
-                ingress,
-                seed,
-            )
-        )
-
-    if workers is None:
-        outputs = [_run_net_cell(job) for job in jobs]
-    else:
-        workers = check_positive_int(workers, "workers")
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_net_cell, jobs))
-
-    policy_name = policy if isinstance(policy, str) else getattr(
-        policy, "name", getattr(policy, "__name__", repr(policy))
+    cells = seeded_product(
+        base_seed, range(len(topologies)), strategies, range(len(traces))
     )
+    jobs = [
+        (
+            topologies[ti],
+            strategy,
+            traces[xi],
+            policy,
+            per_trace[xi],
+            routing,
+            ingress,
+            seed,
+        )
+        for seed, (ti, strategy, xi) in cells
+    ]
+    outputs = map_cells(_run_net_cell, jobs, workers)
+    policy_name = policy_label(policy)
     return [
         NetGridRun(
             topology_index=ti,
@@ -859,7 +806,7 @@ def network_many(
             elapsed=elapsed,
             result=result,
         )
-        for (ti, strategy, xi, seed), (elapsed, result) in zip(meta, outputs)
+        for (seed, (ti, strategy, xi)), (elapsed, result) in zip(cells, outputs)
     ]
 
 

@@ -51,12 +51,17 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
 #: Bound on the request line + headers we are willing to buffer.
 _MAX_HEADER_BYTES = 16384
+
+#: Seconds a client has to send its request line and headers; a slower
+#: one gets 408 and a close, so it holds no handler and no ``stop()``.
+_READ_TIMEOUT = 5.0
 
 
 class ObsHttpServer:
@@ -146,7 +151,14 @@ class ObsHttpServer:
     async def _respond(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, str, bytes]:
-        request = await self._read_request(reader)
+        try:
+            request = await asyncio.wait_for(
+                self._read_request(reader), _READ_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            return self._json_response(
+                408, {"error": f"no complete request within {_READ_TIMEOUT:g} s"}
+            )
         if request is None:
             return self._json_response(
                 400, {"error": "malformed request; expected 'GET <path>'"}

@@ -359,8 +359,7 @@ def watch_simulation(
     if monitor is None:
         monitor = InvariantMonitor(costs, tol=tol)
     shards = ShardManager(
-        policy, 1, int(k), trace.owners, costs,
-        trace=trace if getattr(policy, "requires_future", False) else None,
+        policy, 1, int(k), trace.owners, costs, trace=trace,
         horizon=trace.length,
     )
 

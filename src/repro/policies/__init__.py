@@ -10,7 +10,8 @@ partitioning.  The paper's own algorithms live in :mod:`repro.core`.
 experiment sweeps.
 """
 
-from typing import Callable, Dict
+import inspect
+from typing import Callable, Dict, Optional, Union
 
 from repro.core.alg_continuous import AlgContinuous
 from repro.core.alg_discrete import AlgDiscrete
@@ -49,14 +50,33 @@ POLICY_REGISTRY: Dict[str, Callable[[], EvictionPolicy]] = {
 }
 
 
-def make_policy(name: str, **kwargs) -> EvictionPolicy:
-    """Instantiate a registered policy by name."""
-    try:
-        factory = POLICY_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(POLICY_REGISTRY))
-        raise KeyError(f"unknown policy {name!r}; known: {known}") from None
-    return factory(**kwargs)
+def make_policy(
+    spec: Union[str, Callable[..., EvictionPolicy]], seed: Optional[int] = None
+) -> EvictionPolicy:
+    """Build a policy from a registry name or a factory — the one place
+    every runner turns a policy spec into an instance.
+
+    With a *seed*, a factory that accepts ``rng`` (random,
+    rand-marking) is called with ``rng=seed`` and the rest ignore it:
+    serving shard *i* and network node *v* pass ``policy_seed + i`` and
+    ``policy_seed + v``, grid cell *i* ``derive_seed(base_seed, i)``.
+    """
+    if isinstance(spec, str):
+        try:
+            factory = POLICY_REGISTRY[spec]
+        except KeyError:
+            known = ", ".join(sorted(POLICY_REGISTRY))
+            raise KeyError(f"unknown policy {spec!r}; known: {known}") from None
+    else:
+        factory = spec
+    if seed is not None:
+        try:
+            params = inspect.signature(factory).parameters
+        except (TypeError, ValueError):
+            params = {}
+        if "rng" in params:
+            return factory(rng=seed)
+    return factory()
 
 
 __all__ = [

@@ -15,7 +15,6 @@ Run a TCP server from the command line with ``python -m repro.serve``.
 from repro.serve.accounting import CostLedger
 from repro.serve.client import (
     ReplayReport,
-    load_trace_file,
     replay,
     replay_stream,
     replay_tcp,
@@ -29,7 +28,7 @@ from repro.serve.server import (
     ServerClosed,
     TenantGate,
 )
-from repro.serve.shard import CacheShard, ShardManager, page_hash
+from repro.serve.shard import ShardManager, page_hash
 
 # Imported last: workers.py imports ServerClosed from server.py.
 from repro.serve.workers import ShardWorkerPool, WorkerCrashed
@@ -38,7 +37,6 @@ __all__ = [
     "ApplyFailed",
     "BatchOutcome",
     "CacheServer",
-    "CacheShard",
     "CostLedger",
     "ReplayReport",
     "RequestOutcome",
@@ -47,7 +45,6 @@ __all__ = [
     "ShardWorkerPool",
     "TenantGate",
     "WorkerCrashed",
-    "load_trace_file",
     "page_hash",
     "replay",
     "replay_stream",

@@ -32,8 +32,9 @@ from repro.obs import (
     JsonlSink,
     Observability,
 )
-from repro.serve.client import load_trace_file, replay_tcp
+from repro.serve.client import replay_tcp
 from repro.serve.server import CacheServer
+from repro.sim.driver import resolve_trace
 
 
 async def _serve(args: argparse.Namespace) -> int:
@@ -147,7 +148,7 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 async def _replay(args: argparse.Namespace) -> int:
-    trace = load_trace_file(args.trace)
+    trace = resolve_trace(args.trace)
     totals = await replay_tcp(args.host, args.port, trace, batch=args.batch)
     print(json.dumps(totals, indent=2))
     return 0

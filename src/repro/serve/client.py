@@ -18,10 +18,10 @@ serving order — the server's single consumer guarantees it):
   one connection; it returns the client's own totals, and the server's
   state is read over HTTP (``/stats``) or in process.
 
-On-disk traces replay via :func:`load_trace_file`: ``page,tenant``
-CSVs — including ``.gz``-compressed ones — route through
-:mod:`repro.sim.trace_io` and materialize, while columnar trace
-directories (:mod:`repro.sim.colstore`) open as a
+On-disk traces replay via :func:`repro.sim.driver.resolve_trace`:
+``page,tenant`` CSVs — including ``.gz``-compressed ones — route
+through :mod:`repro.sim.trace_io` and materialize, while columnar
+trace directories (:mod:`repro.sim.colstore`) open as a
 :class:`~repro.sim.colstore.TraceReader` and **stream**:
 :func:`replay` feeds reader batches straight off the mmap'd segments,
 so a replay's client-side footprint is bounded by the batch size, not
@@ -50,9 +50,9 @@ from repro.core.cost_functions import CostFunction
 from repro.obs import Observability
 from repro.serve.server import CacheServer
 from repro.serve.shard import PolicySpec
-from repro.sim.colstore import TraceReader, is_columnar, open_trace
+from repro.sim.colstore import TraceReader
+from repro.sim.driver import resolve_trace
 from repro.sim.trace import Trace
-from repro.sim.trace_io import load_csv
 from repro.util.rng import RandomSource, ensure_rng
 from repro.util.validation import check_positive, check_positive_int
 from repro.workloads.streams import PageStream
@@ -303,21 +303,6 @@ async def replay_tcp(
     }
 
 
-def load_trace_file(
-    path: str, name: Optional[str] = None
-) -> Union[Trace, TraceReader]:
-    """Load a replayable trace from disk.
-
-    A ``page,tenant`` CSV (``.gz`` ok) materializes to a
-    :class:`~repro.sim.trace.Trace`; a columnar trace directory
-    (:mod:`repro.sim.colstore`) opens as a streaming
-    :class:`~repro.sim.colstore.TraceReader`.
-    """
-    if is_columnar(path):
-        return open_trace(path)
-    return load_csv(path, name=name or path).trace
-
-
 def serve_trace(
     trace: Union[Trace, TraceReader, str],
     policy: PolicySpec,
@@ -363,7 +348,7 @@ def serve_trace(
     :class:`~repro.obs.alerts.AlertEngine`) for the replay's lifetime —
     see :class:`CacheServer`."""
     if isinstance(trace, str):
-        trace = load_trace_file(trace)
+        trace = resolve_trace(trace, name=trace)
 
     async def _run() -> ReplayReport:
         server = CacheServer(
@@ -412,6 +397,5 @@ __all__ = [
     "replay",
     "replay_stream",
     "replay_tcp",
-    "load_trace_file",
     "serve_trace",
 ]

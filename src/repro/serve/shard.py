@@ -1,20 +1,17 @@
 """Shard management for the serving subsystem.
 
-A :class:`CacheShard` is one policy instance and its slots, served
-through the kernel every path shares
-(:class:`~repro.sim.engine.CacheState`): a routed batch reaches each
-shard as its subsequence of the global clock, and the shard applies it
-with the engine's hit-run scanner and miss step.  A
-:class:`ShardManager` hash-partitions the page universe across ``S``
-independent shards, each owning a private policy instance and ``k/S``
-slots, so victim choices never cross shard boundaries and per-shard
-state stays small.  :meth:`ShardManager.serve_batch` groups a batch by
-shard once, with numpy, and makes one kernel call per shard segment
-(a batch of at most :data:`~repro.sim.engine.SMALL_BATCH` requests is
-routed request by request instead, each miss through the kernel's miss
-step); it returns the misses by position, and hit flags, replies and
-the ledger's per-tenant counts are built from them.  A
-:class:`ShardGroup` is what one process serves with: a manager over
+A shard is one kernel cache state (:class:`~repro.sim.engine.
+CacheState`): a policy instance and its slots, whose ``tag`` is the
+shard id.  A :class:`ShardManager` hash-partitions the page universe
+across ``S`` independent shards, each owning a private policy instance
+and ``k/S`` slots, so victim choices never cross shard boundaries and
+per-shard state stays small.  :meth:`ShardManager.serve_batch` is the
+kernel's routed form (:func:`~repro.sim.engine.serve_routed`) over the
+manager's page → shard table: a routed batch reaches each shard as its
+subsequence of the global clock, applied with the engine's hit-run
+scanner and miss step, and the misses come back by position; hit
+flags, replies and the ledger's per-tenant counts are built from them.
+A :class:`ShardGroup` is what one process serves with: a manager over
 the shards that process owns, a :class:`~repro.serve.accounting.
 CostLedger` slice, and an optional invariant monitor.
 
@@ -37,16 +34,15 @@ imbalance.  The hash is evaluated once per page of the universe
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.cost_functions import CostFunction
-from repro.obs.flight import FlightRecorder
 from repro.obs.monitor import InvariantMonitor
+from repro.policies import make_policy
 from repro.serve.accounting import CostLedger
-from repro.sim.engine import SMALL_BATCH, CacheState, serve_each
+from repro.sim.engine import SMALL_BATCH, CacheState, serve_routed
 from repro.sim.policy import EvictionPolicy, SimContext
 from repro.sim.trace import Trace
 from repro.util.validation import check_positive_int
@@ -102,25 +98,6 @@ def shard_slots(k: int, num_shards: int) -> List[int]:
     return [base + (1 if sid < extra else 0) for sid in range(num_shards)]
 
 
-def make_policy_instance(
-    factory: Callable[..., EvictionPolicy], seed: Optional[int]
-) -> EvictionPolicy:
-    """Instantiate *factory*, passing ``rng=seed`` when it accepts one.
-
-    The same convention as the engine-equivalence suite and
-    ``sim.driver``: deterministic policies ignore the seed, stochastic
-    ones (random, rand-marking) draw their stream from it.
-    """
-    if seed is not None:
-        try:
-            params = inspect.signature(factory).parameters
-        except (TypeError, ValueError):
-            params = {}
-        if "rng" in params:
-            return factory(rng=seed)
-    return factory()
-
-
 def hit_flags(n: int, misses: Sequence[int]) -> List[bool]:
     """Per-request hit flags of an *n*-request batch whose requests at
     positions *misses* missed."""
@@ -128,55 +105,6 @@ def hit_flags(n: int, misses: Sequence[int]) -> List[bool]:
     for i in misses:
         flags[i] = False
     return flags
-
-
-class CacheShard(CacheState):
-    """One shard: a policy instance and its ``k`` slots under the
-    kernel's mechanics (:class:`~repro.sim.engine.CacheState`), so any
-    registered policy serves unchanged.  ``timing`` is the server's
-    per-shard decision timer; ``evictions`` counts for observability.
-    """
-
-    __slots__ = ("shard_id", "_ctx")
-
-    def __init__(
-        self,
-        shard_id: int,
-        policy: EvictionPolicy,
-        slots: int,
-        ctx: SimContext,
-        validate: bool = True,
-    ) -> None:
-        super().__init__(
-            policy, check_positive_int(slots, "slots"), ctx.num_pages,
-            validate=validate, tag=shard_id,
-        )
-        self.shard_id = shard_id
-        self._ctx = ctx
-        policy.reset(ctx)
-
-    def attach_flight(
-        self, recorder: FlightRecorder, owners_list: Optional[List[int]] = None
-    ) -> None:
-        """:meth:`~repro.sim.engine.CacheState.attach_flight`, with
-        *owners_list* defaulting to this shard's ``owners.tolist()``."""
-        if owners_list is None:
-            owners_list = self._ctx.owners.tolist()
-        super().attach_flight(recorder, owners_list)
-
-    def reset(self) -> None:
-        """Empty the shard and return the policy to its initial state."""
-        self.clear()
-        if self.timing is not None:
-            self.timing[0] = 0.0
-            self.timing[1] = 0
-        self.policy.reset(self._ctx)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CacheShard(id={self.shard_id}, policy={self.policy.name!r}, "
-            f"{self.size}/{self.k})"
-        )
 
 
 class ShardManager:
@@ -257,39 +185,44 @@ class ShardManager:
                 f"got {shard_ids}"
             )
 
-        instances = self._build_instances(policy, policy_seed)
-        self.policy_name = instances[0].name
-        if instances[0].requires_costs and costs is None:
-            raise ValueError(f"{self.policy_name} requires cost functions")
-        if costs is not None and len(costs) < self.num_users:
-            raise ValueError(
-                f"need {self.num_users} cost functions, got {len(costs)}"
-            )
-        if instances[0].requires_future:
-            if trace is None:
-                raise ValueError(
-                    f"{self.policy_name} requires the full trace (offline policy)"
-                )
+        if isinstance(policy, EvictionPolicy):
             if self.num_shards != 1:
                 raise ValueError(
-                    "offline (requires_future) policies only serve with num_shards=1"
+                    "a pre-built policy instance cannot be shared across "
+                    "shards; pass a name or factory for num_shards > 1"
                 )
-
+            instances = [policy]
+        else:
+            instances = [
+                make_policy(
+                    policy, None if policy_seed is None else policy_seed + sid
+                )
+                for sid in self.shard_ids
+            ]
+        self.policy_name = instances[0].name
+        if instances[0].requires_future and self.num_shards != 1:
+            raise ValueError(
+                "offline (requires_future) policies only serve with num_shards=1"
+            )
         slots = shard_slots(self.k, self.num_shards)
-        self.shards: List[CacheShard] = []
-        for sid, inst in zip(self.shard_ids, instances):
-            ctx = SimContext(
-                k=slots[sid],
-                owners=owners,
-                num_users=self.num_users,
-                costs=costs,
-                trace=trace if inst.requires_future else None,
-                num_pages=self.num_pages,
-                horizon=horizon,
+        #: One kernel state per built shard, tagged with its shard id.
+        self.shards: List[CacheState] = [
+            CacheState(
+                inst,
+                SimContext(
+                    k=slots[sid],
+                    owners=owners,
+                    num_users=self.num_users,
+                    costs=costs,
+                    trace=trace,
+                    num_pages=self.num_pages,
+                    horizon=horizon,
+                ),
+                validate=validate,
+                tag=sid,
             )
-            self.shards.append(
-                CacheShard(sid, inst, ctx.k, ctx, validate=validate)
-            )
+            for sid, inst in zip(self.shard_ids, instances)
+        ]
         #: page → shard id over the whole universe.
         self._table = shard_table(self.num_pages, self.num_shards)
         #: page → index into :attr:`shards` (``len(shards)`` for pages
@@ -303,38 +236,6 @@ class ShardManager:
         #: The same table as a list, for per-request routing.
         self._at: List[int] = self._local.tolist()
 
-    def _build_instances(
-        self, policy: PolicySpec, policy_seed: Optional[int]
-    ) -> List[EvictionPolicy]:
-        """One policy instance per built shard: shard *i* of a stochastic
-        policy draws from ``rng=policy_seed + i`` whichever process
-        builds it."""
-        if isinstance(policy, EvictionPolicy):
-            if self.num_shards != 1:
-                raise ValueError(
-                    "a pre-built policy instance cannot be shared across "
-                    "shards; pass a name or factory for num_shards > 1"
-                )
-            return [policy]
-        if isinstance(policy, str):
-            from repro.policies import POLICY_REGISTRY
-
-            try:
-                factory: Callable[..., EvictionPolicy] = POLICY_REGISTRY[policy]
-            except KeyError:
-                known = ", ".join(sorted(POLICY_REGISTRY))
-                raise KeyError(
-                    f"unknown policy {policy!r}; known: {known}"
-                ) from None
-        else:
-            factory = policy
-        return [
-            make_policy_instance(
-                factory, None if policy_seed is None else policy_seed + sid
-            )
-            for sid in self.shard_ids
-        ]
-
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
@@ -346,69 +247,20 @@ class ShardManager:
         """Route one request; returns ``(hit, victim, shard_id)``."""
         shard = self.shards[self._at[page]]
         if not shard.res[page]:
-            return False, shard.admit(page, t), shard.shard_id
+            return False, shard.admit(page, t), shard.tag
         if not shard.policy.ignores_hits:
             shard.policy.on_hit(page, t)
         if shard.fl_append is not None:
             shard.fl_append((t, page, shard.tag))
-        return True, None, shard.shard_id
+        return True, None, shard.tag
 
     def serve_batch(self, pages: Sequence[int], ts: Sequence[int]) -> List[int]:
         """Serve ``pages[i]`` at global time ``ts[i]`` (strictly
-        increasing); returns the positions of the misses, unordered.
-
-        *pages* is a list of ints or an int64 array, *ts* a sequence of
-        ints or an int array.  One built shard applies the batch in one
-        kernel call.  Over several, a batch of at most
-        :data:`~repro.sim.engine.SMALL_BATCH` requests, or any batch
-        while a flight recorder is attached (its window must stay in
-        global time order), is served request by request; a larger one
-        is grouped by shard once, with numpy, and each shard applies its
-        subsequence in one kernel call.  Every page must be placed on a
-        shard this manager built."""
-        shards = self.shards
-        arr = pages if isinstance(pages, np.ndarray) else None
-        ts_arr = ts if isinstance(ts, np.ndarray) else None
-        if len(shards) == 1:
-            return shards[0].apply(
-                pages if arr is None else arr.tolist(),
-                ts if ts_arr is None else ts_arr.tolist(),
-                arr,
-            )
-        if len(pages) <= SMALL_BATCH or any(
-            shard.fl_append is not None for shard in shards
-        ):
-            return serve_each(
-                shards,
-                self._at,
-                pages if arr is None else arr.tolist(),
-                ts if ts_arr is None else ts_arr.tolist(),
-            )
-        if arr is None:
-            arr = np.array(pages, dtype=np.int64)
-        if ts_arr is None:
-            ts_arr = np.asarray(ts, dtype=np.int64)
-        local = self._local[arr]
-        ends = np.bincount(local, minlength=len(shards)).cumsum().tolist()
-        if len(ends) > len(shards):
-            raise ValueError("batch holds pages of shards this manager did not build")
-        misses: List[int] = []
-        order = local.argsort(kind="stable")
-        seg_arr = arr[order]
-        seg_req = seg_arr.tolist()
-        seg_ts = ts_arr[order].tolist()
-        lo = 0
-        for shard, hi in zip(shards, ends):
-            if hi > lo:
-                missed = shard.apply(seg_req[lo:hi], seg_ts[lo:hi], seg_arr[lo:hi])
-                if missed:
-                    misses += order[lo:hi][missed].tolist()
-            lo = hi
-        return misses
-
-    def reset(self) -> None:
-        for shard in self.shards:
-            shard.reset()
+        increasing) through the kernel's routed form
+        (:func:`~repro.sim.engine.serve_routed`) over the shards; returns
+        the positions of the misses, unordered.  Every page must be
+        placed on a shard this manager built."""
+        return serve_routed(self.shards, self._local, self._at, pages, ts)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -538,7 +390,7 @@ class ShardGroup:
             "ledger": self.ledger,
             "shards": [
                 {
-                    "shard": s.shard_id,
+                    "shard": s.tag,
                     "occupancy": s.size,
                     "slots": s.k,
                     "evictions": s.evictions,
@@ -552,13 +404,11 @@ class ShardGroup:
 
 
 __all__ = [
-    "CacheShard",
     "ShardGroup",
     "ShardManager",
     "hit_flags",
     "page_hash",
     "page_hash_array",
-    "make_policy_instance",
     "shard_slots",
     "shard_table",
 ]

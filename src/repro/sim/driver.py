@@ -2,23 +2,23 @@
 
 Experiments rarely run one simulation: E5/E9/E11 all fan a grid of
 (policy, cache size, trace) cells and compare rows.  ``simulate_many``
-enumerates that cartesian product, derives an independent per-cell seed
-with the same :func:`repro.util.rng.derive_seed` convention as
-:func:`repro.analysis.sweep.run_sweep` (cells numbered in product
-order), and optionally spreads cells over a ``ProcessPoolExecutor``.
-Results are identical whether run serially or in parallel, and the
-returned list is always in product order.
+enumerates that cartesian product and maps its cells, serially or over
+a ``ProcessPoolExecutor``, through :mod:`repro.util.grid` — the cell
+numbering, ``derive_seed`` convention and map that
+:func:`repro.analysis.sweep.run_sweep` and
+:func:`repro.net.netsim.network_many` share.  Results are identical
+whether run serially or in parallel, and the returned list is always
+in product order.
 
 Policies are given as registry names (``"lru"``) or zero-argument
-factories; names keep cells picklable for the process pool and let the
-driver pass the derived seed to stochastic policies (any factory whose
+factories; names keep cells picklable for the process pool, and each
+cell builds its policy with :func:`repro.policies.make_policy`, which
+passes the derived seed to stochastic policies (any factory whose
 constructor accepts an ``rng`` keyword).
 """
 
 from __future__ import annotations
 
-import inspect
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -27,8 +27,7 @@ from repro.obs import Observability, default_observability
 from repro.sim.engine import SimResult, simulate
 from repro.sim.policy import EvictionPolicy
 from repro.sim.trace import Trace
-from repro.util.rng import derive_seed
-from repro.util.validation import check_positive_int
+from repro.util.grid import map_cells, seeded_product
 
 #: A registry name or a zero-argument policy factory (class or callable).
 PolicySpec = Union[str, Callable[..., EvictionPolicy]]
@@ -49,45 +48,27 @@ class GridRun:
     result: SimResult
 
 
-def _resolve_factory(spec: PolicySpec) -> Tuple[str, Callable[..., EvictionPolicy]]:
-    """``(display name, factory)`` for a policy spec."""
+def policy_label(spec: PolicySpec) -> str:
+    """The name a grid reports for a policy spec: a registry name as
+    given, else the factory's ``name`` (or ``__name__``)."""
     if isinstance(spec, str):
-        # Imported lazily: repro.policies itself imports repro.sim.
-        from repro.policies import POLICY_REGISTRY
-
-        try:
-            return spec, POLICY_REGISTRY[spec]
-        except KeyError:
-            raise KeyError(
-                f"unknown policy {spec!r}; known: {sorted(POLICY_REGISTRY)}"
-            ) from None
+        return spec
     name = getattr(spec, "name", None)
     if not isinstance(name, str):
         name = getattr(spec, "__name__", repr(spec))
-    return name, spec
+    return name
 
 
-def _build_policy(factory: Callable[..., EvictionPolicy], seed: int) -> EvictionPolicy:
-    """Instantiate, passing the cell seed to stochastic policies."""
-    try:
-        params = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        params = {}
-    if "rng" in params:
-        return factory(rng=seed)
-    return factory()
-
-
-def resolve_trace(trace):
-    """Materialize a trace spec.
+def resolve_trace(trace, name: str = "csv-trace"):
+    """Materialize a trace spec — the one opener of on-disk traces.
 
     Strings are on-disk traces — a columnar directory opens as a
     streaming :class:`~repro.sim.colstore.TraceReader` (the trace never
     rides a pickle and never materializes), anything else loads as a
-    ``page,tenant`` CSV.  ``Trace``/reader objects pass through.  Grid
-    drivers call this *inside the worker process* so path cells ship a
-    string instead of the requests; it is public so experiments and the
-    network CLI resolve specs the same way.
+    ``page,tenant`` CSV (``.gz`` too) named *name*.  ``Trace``/reader
+    objects pass through.  Grid drivers call this *inside the worker
+    process* so path cells ship a string instead of the requests; the
+    serve and network CLIs and ``serve_trace`` open paths with it too.
     """
     if isinstance(trace, str):
         from repro.sim.colstore import is_columnar, open_trace
@@ -96,7 +77,7 @@ def resolve_trace(trace):
             return open_trace(trace)
         from repro.sim.trace_io import load_csv
 
-        return load_csv(trace).trace
+        return load_csv(trace, name=name).trace
     return trace
 
 
@@ -118,8 +99,10 @@ def _run_cell(job: Tuple) -> Tuple[float, SimResult]:
     """Top-level worker so process pools can unpickle the call."""
     spec, k, trace, costs, seed, engine, record_events, record_curve = job
     trace = resolve_trace(trace)
-    _name, factory = _resolve_factory(spec)
-    policy = _build_policy(factory, seed)
+    # Imported lazily: repro.policies itself imports repro.sim.
+    from repro.policies import make_policy
+
+    policy = make_policy(spec, seed)
     start = time.perf_counter()
     result = simulate(
         trace,
@@ -207,27 +190,24 @@ def simulate_many(
         raise ValueError("traces must be non-empty")
 
     per_trace_costs = costs_per_trace(costs, traces)
-
-    jobs: List[Tuple] = []
-    meta: List[Tuple[str, int, int, int]] = []
-    for cell_index, (spec, k, trace_index) in enumerate(
-        itertools.product(policies, ks, range(len(traces)))
-    ):
-        name, _factory = _resolve_factory(spec)
-        seed = derive_seed(base_seed, cell_index)
-        meta.append((name, int(k), trace_index, seed))
-        jobs.append(
-            (
-                spec,
-                int(k),
-                traces[trace_index],
-                per_trace_costs[trace_index],
-                seed,
-                engine,
-                record_events,
-                record_curve,
-            )
+    cells = seeded_product(base_seed, policies, ks, range(len(traces)))
+    meta = [
+        (policy_label(spec), int(k), trace_index, seed)
+        for seed, (spec, k, trace_index) in cells
+    ]
+    jobs = [
+        (
+            spec,
+            int(k),
+            traces[trace_index],
+            per_trace_costs[trace_index],
+            seed,
+            engine,
+            record_events,
+            record_curve,
         )
+        for seed, (spec, k, trace_index) in cells
+    ]
 
     if obs is None:
         obs = default_observability()
@@ -239,20 +219,7 @@ def simulate_many(
         traces=len(traces),
         workers=workers or 0,
     ):
-        if workers is None:
-            outputs = [_run_cell(job) for job in jobs]
-        else:
-            workers = check_positive_int(workers, "workers")
-            if chunksize is None:
-                chunksize = max(1, len(jobs) // (8 * workers))
-            else:
-                chunksize = check_positive_int(chunksize, "chunksize")
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outputs = list(
-                    pool.map(_run_cell, jobs, chunksize=chunksize)
-                )
+        outputs = map_cells(_run_cell, jobs, workers, chunksize)
 
         if obs.tracer.enabled:
             for (name, k, trace_index, _seed), (elapsed, result) in zip(
@@ -288,6 +255,7 @@ __all__ = [
     "GridRun",
     "PolicySpec",
     "costs_per_trace",
+    "policy_label",
     "resolve_trace",
     "simulate_many",
 ]

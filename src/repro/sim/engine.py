@@ -18,8 +18,10 @@ Two engines share that contract:
   :class:`~repro.sim.trace.Trace`.  It is the ground truth for the
   equivalence suite.
 * ``engine="fast"`` (the ``"auto"`` default) — one
-  :class:`CacheState`, the kernel every path applies requests through
-  (each serving shard and network node is one too), over the trace's
+  :class:`CacheState`, the kernel every path builds its caches as and
+  applies requests through (each serving shard, network node and
+  multi-pool pool is one too; :func:`serve_routed` feeds a set of them
+  through a page → cache table), over the trace's
   ``batches()`` protocol, so the same loop runs over an in-RAM
   :class:`~repro.sim.trace.Trace` and a streaming
   :class:`~repro.sim.colstore.TraceReader`.  Residency only changes on
@@ -37,7 +39,7 @@ Two engines share that contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import compress, count, repeat
 from time import perf_counter
 from typing import List, Optional, Sequence
@@ -213,8 +215,7 @@ def simulate(
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     k = check_positive_int(k, "k")
-    streaming = not isinstance(trace, Trace)
-    if streaming:
+    if not isinstance(trace, Trace):
         if not hasattr(trace, "batches"):
             raise TypeError(
                 f"trace must be a Trace or a TraceReader, got {type(trace).__name__}"
@@ -224,24 +225,12 @@ def simulate(
                 "streaming simulate supports the fast engine only "
                 "(materialize() the reader for engine='reference')"
             )
-        if policy.requires_future:
-            raise ValueError(
-                f"{policy.name} is offline (requires_future) and needs the "
-                f"materialized trace"
-            )
-    num_users = trace.num_users
-    if policy.requires_costs:
-        if costs is None:
-            raise ValueError(f"{policy.name} requires cost functions")
-    if costs is not None and len(costs) < num_users:
-        raise ValueError(f"need {num_users} cost functions, got {len(costs)}")
-
     ctx = SimContext(
         k=k,
         owners=np.asarray(trace.owners),
-        num_users=num_users,
+        num_users=trace.num_users,
         costs=costs,
-        trace=trace if policy.requires_future else None,
+        trace=trace,
         num_pages=trace.num_pages,
         horizon=trace.length,
     )
@@ -249,6 +238,9 @@ def simulate(
         obs = default_observability()
     if flight is None:
         flight = obs.flight
+    tracer = obs.tracer
+    with tracer.span("sim.setup", policy=policy.name, trace=trace.name):
+        state = CacheState(policy, ctx, validate=validate)
     if flight is not None:
         flight.note_config(
             policy=policy.name,
@@ -258,13 +250,9 @@ def simulate(
             trace=trace.name,
         )
     run = _simulate_reference if engine == "reference" else _simulate_fast
-    if not (obs.tracer.enabled or obs.registry.enabled):
-        policy.reset(ctx)
-        return run(trace, policy, k, record_events, record_curve, validate, flight)
+    if not (tracer.enabled or obs.registry.enabled):
+        return run(trace, state, record_events, record_curve, flight)
 
-    tracer = obs.tracer
-    with tracer.span("sim.setup", policy=policy.name, trace=trace.name):
-        policy.reset(ctx)
     with tracer.span(
         "sim.run",
         policy=policy.name,
@@ -273,7 +261,7 @@ def simulate(
         engine=engine,
         T=trace.length,
     ) as span:
-        result = run(trace, policy, k, record_events, record_curve, validate, flight)
+        result = run(trace, state, record_events, record_curve, flight)
         span.set(hits=result.hits, misses=result.misses)
     reg = obs.registry
     reg.counter("sim_runs_total", "Simulation runs completed").inc()
@@ -287,14 +275,15 @@ def simulate(
 
 def _simulate_reference(
     trace: Trace,
-    policy: EvictionPolicy,
-    k: int,
+    state: "CacheState",
     record_events: bool,
     record_curve: bool,
-    validate: bool,
     flight: Optional[FlightRecorder] = None,
 ) -> SimResult:
-    """The original per-request loop — ground truth for equivalence."""
+    """The original per-request loop — ground truth for equivalence.
+    It takes *state*'s policy, capacity and validation flag and keeps
+    its own ``set`` of resident pages."""
+    policy, k, validate = state.policy, state.k, state.validate
     num_users = trace.num_users
     cache: set[int] = set()
     hits = 0
@@ -374,7 +363,15 @@ def _simulate_reference(
 
 class CacheState:
     """One cache under the paper's mechanics — the kernel the simulator,
-    every serving shard and every network node apply requests through.
+    every serving shard, every network node and every multi-pool pool
+    is built as and applies requests through.
+
+    It is built from a policy and the :class:`~repro.sim.policy.
+    SimContext` it serves under, once for every runner: the constructor
+    checks that the costs are present when the policy requires them and
+    cover every tenant, and that an offline policy has the whole
+    in-RAM :class:`~repro.sim.trace.Trace` (an online policy's context
+    never carries the trace), then resets the policy.
 
     Residency is one ``bytearray`` indexed by page: a Python index
     probes a single page about as fast as a list, and a numpy bool view
@@ -387,30 +384,48 @@ class CacheState:
     """
 
     __slots__ = (
-        "policy", "k", "size", "res", "res_arr", "validate", "label", "tag",
-        "evictions", "timing", "events", "fl_append", "fl_extend", "fl_owners",
-        "fl_probe", "_vector", "_short", "_solo",
+        "policy", "ctx", "k", "size", "res", "res_arr", "validate", "label",
+        "tag", "evictions", "timing", "events", "fl_append", "fl_extend",
+        "fl_owners", "fl_probe", "_vector", "_short", "_solo",
     )
 
     def __init__(
         self,
         policy: EvictionPolicy,
-        k: int,
-        num_pages: int,
+        ctx: SimContext,
         *,
         validate: bool = True,
         label: Optional[str] = None,
         tag: int = 0,
     ) -> None:
+        costs = ctx.costs
+        if costs is None:
+            if policy.requires_costs:
+                raise ValueError(f"{policy.name} requires cost functions")
+        elif len(costs) < ctx.num_users:
+            raise ValueError(
+                f"need {ctx.num_users} cost functions, got {len(costs)}"
+            )
+        if policy.requires_future:
+            if not isinstance(ctx.trace, Trace):
+                raise ValueError(
+                    f"{policy.name} is offline (requires_future) and needs "
+                    f"the full trace as an in-RAM Trace (materialize() a reader)"
+                )
+        elif ctx.trace is not None:
+            ctx = replace(ctx, trace=None)
+        policy.reset(ctx)
         self.policy = policy
-        self.k = k
+        #: The context the policy was reset with.
+        self.ctx = ctx
+        self.k = check_positive_int(ctx.k, "k")
         self.size = 0
-        self.res = bytearray(max(num_pages, 1))
+        self.res = bytearray(max(ctx.num_pages, 1))
         self.res_arr = np.frombuffer(self.res, dtype=np.bool_)
         self.validate = validate
         #: Names the cache in validation errors.
         self.label = policy.name if label is None else label
-        #: The flight events' shard field.
+        #: The flight events' shard field (a serving shard's id).
         self.tag = tag
         #: Lifetime evictions (never read by the policy).
         self.evictions = 0
@@ -426,9 +441,14 @@ class CacheState:
         #: this state alone.
         self._solo = bytes(len(self.res))
 
-    def attach_flight(self, recorder: FlightRecorder, owners_list: List[int]) -> None:
+    def attach_flight(
+        self, recorder: FlightRecorder, owners_list: Optional[List[int]] = None
+    ) -> None:
         """Append one decision event per request to *recorder*;
-        *owners_list* is ``owners.tolist()``, shareable across states."""
+        *owners_list* is ``owners.tolist()``, shareable across states
+        (built from the context's owners when not given)."""
+        if owners_list is None:
+            owners_list = self.ctx.owners.tolist()
         self.fl_append = recorder.append
         self.fl_extend = recorder.extend
         self.fl_owners = owners_list
@@ -624,16 +644,77 @@ def serve_each(
     return misses
 
 
+def serve_routed(
+    states: Sequence[CacheState],
+    table: np.ndarray,
+    at: Sequence[int],
+    pages: Sequence[int],
+    ts: Sequence[int],
+) -> List[int]:
+    """Serve ``pages[i]`` at time ``ts[i]`` (strictly increasing) on
+    ``states[table[pages[i]]]``; returns the positions of the misses,
+    unordered — the kernel's routed form, for a set of caches fed
+    through one page → cache table (the serving shards, the multi-pool
+    pools).
+
+    *table* is an int array over the page universe and *at* the same
+    table as a list; an index of ``len(states)`` or more marks a page
+    that none of *states* may serve.  *pages* is a list of ints or an
+    int64 array, *ts* a sequence of ints (a ``range`` too) or an int
+    array.  One state applies the batch in one :meth:`CacheState.apply`
+    call.  Over several, a batch of at most :data:`SMALL_BATCH`
+    requests, or any batch while a flight recorder is attached (its
+    window must stay in time order), is served request by request
+    (:func:`serve_each`); a larger one is grouped by state once, with
+    numpy, and each state applies its subsequence in one call."""
+    arr = pages if isinstance(pages, np.ndarray) else None
+    ts_arr = ts if isinstance(ts, np.ndarray) else None
+    if len(states) == 1:
+        return states[0].apply(
+            pages if arr is None else arr.tolist(),
+            ts if ts_arr is None else ts_arr.tolist(),
+            arr,
+        )
+    if len(pages) <= SMALL_BATCH or any(
+        state.fl_append is not None for state in states
+    ):
+        return serve_each(
+            states,
+            at,
+            pages if arr is None else arr.tolist(),
+            ts if ts_arr is None else ts_arr.tolist(),
+        )
+    if arr is None:
+        arr = np.array(pages, dtype=np.int64)
+    if ts_arr is None:
+        ts_arr = np.asarray(ts, dtype=np.int64)
+    local = table[arr]
+    ends = np.bincount(local, minlength=len(states)).cumsum().tolist()
+    if len(ends) > len(states):
+        raise ValueError("batch holds pages that none of these caches serves")
+    misses: List[int] = []
+    order = local.argsort(kind="stable")
+    seg_arr = arr[order]
+    seg_req = seg_arr.tolist()
+    seg_ts = ts_arr[order].tolist()
+    lo = 0
+    for state, hi in zip(states, ends):
+        if hi > lo:
+            missed = state.apply(seg_req[lo:hi], seg_ts[lo:hi], seg_arr[lo:hi])
+            if missed:
+                misses += order[lo:hi][missed].tolist()
+        lo = hi
+    return misses
+
+
 def _simulate_fast(
     trace,
-    policy: EvictionPolicy,
-    k: int,
+    state: "CacheState",
     record_events: bool,
     record_curve: bool,
-    validate: bool,
     flight: Optional[FlightRecorder] = None,
 ) -> SimResult:
-    """:meth:`CacheState.apply` over ``trace.batches()``.
+    """*state*'s :meth:`CacheState.apply` over ``trace.batches()``.
 
     The per-tenant miss counts and the miss curve are taken from each
     batch's miss positions in bulk.  Memory beyond the residency
@@ -642,12 +723,11 @@ def _simulate_fast(
     :class:`~repro.sim.colstore.TraceReader` alike.
     """
     num_users = max(trace.num_users, 1)
-    owners = np.asarray(trace.owners)
-    state = CacheState(policy, k, trace.num_pages, validate=validate)
+    owners = state.ctx.owners
     if record_events:
         state.events = []
     if flight is not None:
-        state.attach_flight(flight, owners.tolist())
+        state.attach_flight(flight)
     user_misses = np.zeros(num_users, dtype=np.int64)
     curve: Optional[np.ndarray] = (
         np.zeros((trace.length + 1, num_users), dtype=np.int64)
@@ -669,9 +749,9 @@ def _simulate_fast(
         user_misses += np.bincount(tenants, minlength=num_users)
 
     return SimResult(
-        policy_name=policy.name,
+        policy_name=state.policy.name,
         trace_name=trace.name,
-        k=k,
+        k=state.k,
         hits=hits,
         misses=int(user_misses.sum()),
         user_misses=user_misses,
@@ -724,5 +804,7 @@ __all__ = [
     "EvictionEvent",
     "SimResult",
     "simulate",
+    "serve_each",
+    "serve_routed",
     "replay_evictions",
 ]

@@ -69,8 +69,9 @@ class SimContext:
         Per-user cost functions, or ``None`` for cost-blind baselines.
     trace:
         The full trace — present only for offline policies; online
-        policies must not read it (enforced by the engine handing
-        ``None`` unless ``requires_future``).
+        policies must not read it (enforced by the kernel's
+        constructor, :class:`~repro.sim.engine.CacheState`, which
+        resets an online policy with ``trace=None``).
     """
 
     k: int

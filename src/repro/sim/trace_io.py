@@ -18,7 +18,7 @@ load — rows are used in file order regardless — and written on save.)
 
 Paths ending in ``.gz`` are read and written gzip-compressed
 transparently, so large replay traces (the serving subsystem's
-:func:`repro.serve.client.load_trace_file`) ship compressed.
+:func:`repro.sim.driver.resolve_trace`) ship compressed.
 
 Memory behaviour: both directions are **streaming**.  :func:`load_csv`
 parses row-by-row into chunked ``int64`` buffers (it must return an

@@ -31,13 +31,12 @@ from hypothesis import strategies as st
 from repro.core.cost_functions import MonomialCost
 from repro.obs.flight import FlightRecorder, verify_flight
 from repro.obs.monitor import InvariantMonitor
-from repro.policies import POLICY_REGISTRY
+from repro.policies import POLICY_REGISTRY, make_policy
 from repro.serve.accounting import CostLedger
 from repro.serve.shard import (
     ShardGroup,
     ShardManager,
     hit_flags,
-    make_policy_instance,
     shard_slots,
     shard_table,
 )
@@ -101,15 +100,14 @@ def test_gapped_hit_runs_match_per_hit_delivery(policy_name, data):
 
     states = []
     for batched in (False, True):
-        policy = make_policy_instance(POLICY_REGISTRY[policy_name], 11)
-        policy.reset(
+        state = CacheState(
+            make_policy(policy_name, 11),
             SimContext(
                 k=k, owners=owners, num_users=num_users, costs=costs,
-                trace=Trace(whole, owners) if policy.requires_future else None,
+                trace=Trace(whole, owners),
                 num_pages=num_pages, horizon=int(whole.size),
-            )
+            ),
         )
-        state = CacheState(policy, k, num_pages)
         state.events = []
         states.append((batched, state))
 
@@ -225,12 +223,12 @@ def test_routed_batches_match_reference_per_shard(data):
     user_misses = np.zeros(mgr.num_users, dtype=np.int64)
     slots = shard_slots(k, num_shards)
     for shard in mgr.shards:
-        sid = shard.shard_id
+        sid = shard.tag
         idx = np.flatnonzero(shard_of[mine] == sid)
         fl = FlightRecorder(capacity=max(1, idx.size)) if flight else None
         ref = simulate(
             Trace(pages[idx], owners),
-            make_policy_instance(factory, seed + sid),
+            make_policy(factory, seed + sid),
             slots[sid], costs, record_events=True, record_curve=True,
             engine="reference", flight=fl,
         )

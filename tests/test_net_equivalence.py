@@ -35,6 +35,7 @@ from repro.net.topology import (
     tree_topology,
 )
 from repro.obs.flight import FlightRecorder
+from repro.policies import make_policy
 from repro.serve.shard import page_hash
 from repro.sim.policy import SimContext
 from repro.workloads.builders import random_multi_tenant_trace
@@ -75,21 +76,21 @@ def reference_run(sim: NetworkSim, trace, batch: int):
     names: Dict[int, str] = {}
     flights: Dict[int, FlightRecorder] = {}
     for spec in topo.cache_nodes:
-        inst = sim._build_policy(spec.policy or sim.policy_spec, spec.node_id)
-        inst.reset(
+        inst = make_policy(
+            spec.policy or sim.policy_spec,
+            None if sim.policy_seed is None else sim.policy_seed + spec.node_id,
+        )
+        up = topo.uplink(spec.node_id)
+        st_ = _NodeState(
+            spec.node_id, spec.name, inst,
             SimContext(
                 k=spec.k,
                 owners=owners,
                 num_users=num_users,
                 costs=sim.costs,
-                trace=None,
                 num_pages=num_pages,
                 horizon=trace.length,
-            )
-        )
-        up = topo.uplink(spec.node_id)
-        st_ = _NodeState(
-            spec.node_id, spec.name, spec.k, inst, num_pages, num_users,
+            ),
             up.write_delay if up is not None else 0.0,
             spec.queue_capacity, spec.drain_rate, sim.validate,
         )

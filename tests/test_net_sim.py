@@ -20,8 +20,7 @@ from repro.net import (
 )
 from repro.net.metrics import LatencyDist
 from repro.obs.flight import verify_flight
-from repro.policies import POLICY_REGISTRY
-from repro.serve.shard import make_policy_instance
+from repro.policies import POLICY_REGISTRY, make_policy
 from repro.sim.colstore import write_columnar
 from repro.sim.engine import simulate
 from repro.workloads import zipf_trace
@@ -48,7 +47,7 @@ class TestDegenerateEquivalence:
     def test_matches_simulate(self, name, trace, costs):
         ref = simulate(
             trace,
-            make_policy_instance(POLICY_REGISTRY[name], SEED),
+            make_policy(POLICY_REGISTRY[name], SEED),
             K,
             costs=costs,
         )

@@ -27,9 +27,8 @@ from repro.obs.flight import (
     replay_verify,
     verify_flight,
 )
-from repro.policies import POLICY_REGISTRY
+from repro.policies import POLICY_REGISTRY, make_policy
 from repro.serve.server import CacheServer
-from repro.serve.shard import ShardManager, make_policy_instance
 from repro.sim import simulate
 from repro.workloads.builders import random_multi_tenant_trace, zipf_trace
 
@@ -78,8 +77,7 @@ class TestDumpLoad:
     def test_round_trip_preserves_everything(self, tmp_path):
         trace = _trace()
         fl = FlightRecorder(capacity=trace.length)
-        simulate(trace, make_policy_instance(POLICY_REGISTRY["alg-discrete"],
-                                             SEED),
+        simulate(trace, make_policy(POLICY_REGISTRY["alg-discrete"], SEED),
                  16, costs=_costs(trace), flight=fl)
         path = str(tmp_path / "flight.jsonl")
         fl.dump_jsonl(path, reason="test")
@@ -119,7 +117,7 @@ class TestReplayAllPolicies:
         fl = FlightRecorder(capacity=trace.length)
         simulate(
             trace,
-            make_policy_instance(POLICY_REGISTRY[policy_name], SEED),
+            make_policy(POLICY_REGISTRY[policy_name], SEED),
             16,
             costs=costs,
             flight=fl,
@@ -170,7 +168,7 @@ class TestReplayAllPolicies:
     def test_budget_fields_recorded_for_alg_discrete(self):
         trace = _trace()
         costs = _costs(trace)
-        policy = make_policy_instance(POLICY_REGISTRY["alg-discrete"], SEED)
+        policy = make_policy(POLICY_REGISTRY["alg-discrete"], SEED)
         assert has_budget_probe(policy)
         fl = FlightRecorder(capacity=trace.length)
         simulate(trace, policy, 16, costs=costs, flight=fl)
@@ -182,7 +180,7 @@ class TestReplayAllPolicies:
             assert e.fresh_charge is not None
         # LRU exposes no budget surface: fields stay None.
         assert not has_budget_probe(
-            make_policy_instance(POLICY_REGISTRY["lru"], SEED)
+            make_policy(POLICY_REGISTRY["lru"], SEED)
         )
 
 
@@ -194,7 +192,7 @@ class TestReplayDiagnostics:
     def test_wrapped_ring_rejected(self):
         trace = zipf_trace(100, 500, skew=1.0, seed=5)
         fl = FlightRecorder(capacity=64)  # too small: drops the prefix
-        simulate(trace, make_policy_instance(POLICY_REGISTRY["lru"], SEED),
+        simulate(trace, make_policy(POLICY_REGISTRY["lru"], SEED),
                  16, flight=fl)
         assert fl.dropped > 0
         with pytest.raises(ValueError, match="raise capacity"):
@@ -211,7 +209,7 @@ class TestReplayDiagnostics:
     def test_corruption_pinpoints_first_divergence(self):
         trace = _trace()
         fl = FlightRecorder(capacity=trace.length)
-        simulate(trace, make_policy_instance(POLICY_REGISTRY["lru"], SEED),
+        simulate(trace, make_policy(POLICY_REGISTRY["lru"], SEED),
                  16, flight=fl)
         tampered = fl.events()
         # Flip one decision mid-window: claim a miss where the true run
@@ -230,7 +228,7 @@ class TestReplayDiagnostics:
     def test_max_mismatches_caps_report(self):
         trace = zipf_trace(50, 400, skew=0.8, seed=9)
         fl = FlightRecorder(capacity=trace.length)
-        simulate(trace, make_policy_instance(POLICY_REGISTRY["lru"], SEED),
+        simulate(trace, make_policy(POLICY_REGISTRY["lru"], SEED),
                  8, flight=fl)
         # Replay against a different policy: mass divergence, capped.
         check = replay_verify(list(fl.ring), "fifo", 8, trace.owners,

@@ -279,6 +279,61 @@ class TestMalformedRequests:
             thread.stop()
 
 
+class TestReadDeadline:
+    """A request line or headers that never complete are answered with
+    408 once the read deadline passes, and the connection is closed, so
+    a stalled client neither holds its handler nor delays ``stop()``."""
+
+    def test_stalled_clients_get_408_and_stop_is_prompt(self, monkeypatch):
+        import time
+
+        from repro.obs import httpd
+
+        deadline = 0.5
+        monkeypatch.setattr(httpd, "_READ_TIMEOUT", deadline, raising=False)
+
+        async def read_reply(reader, writer):
+            try:
+                return await asyncio.wait_for(reader.read(), deadline + 2.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        async def scenario():
+            server = ObsHttpServer(metrics=lambda: "up 1\n")
+            h, p = await server.start()
+            start = time.perf_counter()
+            partial = await asyncio.open_connection(h, p)
+            partial[1].write(b"GET /metr")
+            await partial[1].drain()
+            silent = await asyncio.open_connection(h, p)
+            # The plane keeps answering while both clients stall.
+            status, _, body = await http_get(h, p, "/metrics")
+            assert (status, body) == (200, b"up 1\n")
+            replies = await asyncio.gather(
+                read_reply(*partial), read_reply(*silent)
+            )
+            elapsed = time.perf_counter() - start
+            for raw in replies:
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.split(b"\r\n")[0] == b"HTTP/1.1 408 Request Timeout"
+                assert b"Connection: close" in head
+                assert "error" in json.loads(body)
+            assert deadline <= elapsed < deadline + 1.5, elapsed
+            assert server.requests == 1
+            # A client still stalled when the plane stops: stop() returns
+            # within the deadline, and the client gets its 408.
+            late = await asyncio.open_connection(h, p)
+            late[1].write(b"GET / HTTP/1.1\r\nHost: x")
+            await late[1].drain()
+            start = time.perf_counter()
+            await asyncio.wait_for(server.stop(), deadline + 1.5)
+            assert time.perf_counter() - start < deadline + 1.5
+            assert (await read_reply(*late)).startswith(b"HTTP/1.1 408 ")
+
+        run(scenario())
+
+
 async def _serve_all(server, pages, batch=512):
     """Serve *pages* over TCP, one batch line at a time; returns the
     open connection's writer."""

@@ -67,7 +67,7 @@ class TestShardManager:
         part = ShardManager(
             "random", 4, 10, owners, policy_seed=5, shard_ids=(3, 1)
         )
-        assert [s.shard_id for s in part.shards] == [3, 1]
+        assert [s.tag for s in part.shards] == [3, 1]
         assert part.capacities() == [2, 3]
         # Placement is global, and shard i draws from policy_seed + i
         # whichever subset builds it.
